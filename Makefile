@@ -38,13 +38,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Adversarial concurrency tier: the randomized broadcast fan-out sweep,
-# store readers racing a writer (atomic-rename visibility + corrupt-cell
-# degradation), and the sweep service single-flight hammer (100 identical
+# Adversarial concurrency tier: the broadcast replay schedule at
+# randomized worker counts (including its annotation slot ring under a
+# pool-poisoning churner), store readers racing a writer (atomic-rename
+# visibility + corrupt-cell degradation), eight concurrent builds of one
+# corpus file, and the sweep service single-flight hammer (100 identical
 # concurrent jobs -> exactly one simulation, byte-identical bodies).
 stress:
 	$(GO) test -race -run 'Stress|StoreParallelReadersRaceWriter|StoreCorruptCellUnderContention' \
-		./internal/fetch ./internal/experiments ./internal/serve
+		./internal/fetch ./internal/experiments ./internal/serve ./internal/trace
 
 # Short fuzz passes over the trace parser, the chunked iterator, the
 # corpus container reader, and the sweep service's untrusted job decoder.

@@ -49,22 +49,11 @@ func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 	cpp := g.cellsPerProgram()
 	reports := make([]obs.Report, len(cells))
 
-	budget := maxParallel()
-	progPar := len(cfg.Programs)
-	if progPar > budget {
-		progPar = budget
-	}
-	if progPar < 1 {
-		progPar = 1
-	}
-	perProg := budget / progPar
-	if perProg < 1 {
-		perProg = 1
-	}
+	lanes, perProg := split(len(cfg.Programs), maxParallel())
 
 	var (
 		wg       sync.WaitGroup
-		sem      = make(chan struct{}, progPar)
+		sem      = make(chan struct{}, lanes)
 		mu       sync.Mutex
 		firstErr error
 	)

@@ -15,7 +15,7 @@ import (
 // that simulates: it gathers every requested cell across all grids of a
 // run, serves unchanged cells from the Store, partitions the rest by
 // program, and replays each program's trace exactly once through
-// fetch.Broadcast for all of that program's pending cells — so a full
+// fetch.BroadcastWorkers for all of that program's pending cells — so a full
 // `nlstables` regeneration reads each trace one time no matter how many
 // figures request overlapping cells.
 type Executor struct {
@@ -259,25 +259,11 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 		corpusDur = d
 	}
 
-	// Same bounded-pool shape as the PR1 scheduler: at most progPar
-	// program goroutines, the leftover parallelism budget going to each
-	// broadcast's worker pool.
-	budget := maxParallel()
-	progPar := len(active)
-	if progPar > budget {
-		progPar = budget
-	}
-	if progPar < 1 {
-		progPar = 1
-	}
-	perProg := budget / progPar
-	if perProg < 1 {
-		perProg = 1
-	}
+	lanes, perProg := split(len(active), maxParallel())
 
 	var (
 		wg       sync.WaitGroup
-		sem      = make(chan struct{}, progPar)
+		sem      = make(chan struct{}, lanes)
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -465,7 +451,6 @@ type runFastPath interface {
 // wrapped engines would silently lose oracle grouping and re-simulate
 // their i-caches privately.
 type oracleFastPath interface {
-	StepBlockAnnotated(recs []trace.Record, ann *cache.AccessAnnotations, runs []uint8)
 	StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations)
 	OracleGroup() (cache.Geometry, bool)
 }
@@ -485,12 +470,6 @@ func (t *timedRunEngine) StepBlockRuns(recs []trace.Record, runs []uint8) {
 }
 
 func (t *timedRunEngine) ICache() *cache.Cache { return t.fast.ICache() }
-
-func (t *timedRunEngine) StepBlockAnnotated(recs []trace.Record, ann *cache.AccessAnnotations, runs []uint8) {
-	start := time.Now()
-	t.orc.StepBlockAnnotated(recs, ann, runs)
-	t.dur += time.Since(start)
-}
 
 func (t *timedRunEngine) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
 	start := time.Now()

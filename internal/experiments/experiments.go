@@ -4,7 +4,7 @@
 // cache geometries; the program axis comes from Config) plus a pure
 // renderer over result Rows, a single Executor partitions every requested
 // cell by program and replays each program's trace ONCE for all of them
-// via fetch.Broadcast, and a content-addressed Store persists cells so
+// via fetch.BroadcastWorkers, and a content-addressed Store persists cells so
 // unchanged ones are loaded instead of re-simulated across invocations.
 // See DESIGN.md §9 for the layering and EXPERIMENTS.md for paper-vs-
 // measured results.
@@ -304,7 +304,7 @@ func (r *Runner) LastSweepStats() SweepStats {
 // It is the ad-hoc form of the grid pipeline — a one-off Grid run through
 // an Executor without a store — and shares all of its scheduling
 // (DESIGN.md §7, §9): each program's trace is replayed once through
-// fetch.Broadcast for all of the program's cells. Engines are
+// fetch.BroadcastWorkers for all of the program's cells. Engines are
 // deterministic, so results are bit-identical to the per-cell replay
 // (asserted by TestSweepMatchesPerCellOracle).
 func (r *Runner) Sweep(factories []Factory, caches []cache.Geometry) ([]Row, error) {
@@ -362,6 +362,15 @@ func maxParallel() int {
 		n = 2
 	}
 	return n
+}
+
+// split divides a parallelism budget between programs and broadcasts: at
+// most lanes program goroutines run at once (one per program, never more
+// than the budget, at least one), and each program's broadcast gets
+// perProg replay workers, the budget left over per lane (at least one).
+func split(programs, budget int) (lanes, perProg int) {
+	lanes = max(min(programs, budget), 1)
+	return lanes, max(budget/lanes, 1)
 }
 
 // Average aggregates rows over programs: for each (arch, cache) pair the

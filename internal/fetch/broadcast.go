@@ -1,7 +1,6 @@
 package fetch
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -9,23 +8,13 @@ import (
 	"repro/internal/trace"
 )
 
-// broadcastDepth is the per-worker channel capacity of the fan-out. Live
-// memory of one broadcast is bounded by (workers*(broadcastDepth+1)+1)
-// blocks regardless of trace length, which is what lets a streamed sweep
-// run in O(chunk) memory.
-const broadcastDepth = 4
-
-// Broadcast replays a trace ONCE through every engine: each block drawn
-// from src is fanned out to all engines before the next block is drawn, so
-// a sweep cell of E engines reads the records one time instead of E times
-// and each block is still cache-hot when the later engines replay it.
-// Engines see exactly the record sequence of src, in order, via StepBlock.
-// The worker pool is sized to min(GOMAXPROCS, len(engines)); use
-// BroadcastWorkers to bound it explicitly. Returns the number of records
-// replayed.
-func Broadcast(src trace.ChunkSource, engines ...Engine) int64 {
-	return BroadcastWorkers(src, runtime.GOMAXPROCS(0), engines...)
-}
+// ringSlots is the number of annotated chunks in flight: the annotation
+// goroutine fills one slot while the replay units drain the other, so it
+// runs at most one chunk ahead of the slowest unit. Live memory of one
+// broadcast is bounded by ringSlots+1 blocks (the slots plus the block
+// drawn while waiting for a free slot) regardless of trace length, which
+// is what lets a streamed sweep run in O(chunk) memory.
+const ringSlots = 2
 
 // annotated pairs a block with its optional shared run annotation.
 type annotated struct {
@@ -48,15 +37,15 @@ type runStepper interface {
 // trace — wrong-path pollution on, or a probe attached — report ok=false
 // and keep the private-cache path.
 type annStepper interface {
-	StepBlockAnnotated(recs []trace.Record, ann *cache.AccessAnnotations, runs []uint8)
 	StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations)
 	OracleGroup() (cache.Geometry, bool)
 }
 
-// groupMember is one grouped engine: its broadcast index (for worker
-// assignment) and its annotated-replay view.
+// groupMember is one grouped engine: its broadcast index (for unit
+// assignment), its group, and its annotated-replay view.
 type groupMember struct {
 	idx int
+	g   *oracleGroup
 	as  annStepper
 }
 
@@ -76,16 +65,14 @@ type oracleGroup struct {
 	// scan line boundaries themselves, with runs forced nil so both sides
 	// agree on run-leader positions.
 	runsOK bool
-	// ann holds the group's reusable annotations on the sequential path:
-	// one buffer for inline annotation, two when the double-buffered
-	// pipeline annotates chunk k+1 while chunk k replays (the parity
-	// token names which buffer a chunk owns).
-	ann [2]cache.AccessAnnotations
+	// ann holds the group's reusable annotation for each ring slot.
+	ann [ringSlots]cache.AccessAnnotations
 }
 
 // echoPair records one echoed engine and the replayed leader whose break
 // metrics it adopts once the broadcast completes.
 type echoPair struct {
+	idx          int // the echo's broadcast index
 	echo, leader *Frontend
 }
 
@@ -108,7 +95,7 @@ func extractEchoes(groups []*oracleGroup) (pairs []echoPair) {
 					if key, ok := fr.EchoInvariant(); ok {
 						if lead := leaders[key]; lead != nil {
 							g.echoes = append(g.echoes, fr)
-							pairs = append(pairs, echoPair{echo: fr, leader: lead})
+							pairs = append(pairs, echoPair{idx: m.idx, echo: fr, leader: lead})
 							continue
 						}
 						leaders[key] = fr
@@ -152,36 +139,34 @@ type dirSharePlan struct {
 	followers []*Frontend
 }
 
-// extractDirShares groups the replaying members by direction-predictor
+// extractDirShares groups one replay unit's members by direction-predictor
 // configuration (Frontend.DirShareKey) and attaches each group with two or
 // more engines to a shared bit stream; the first member in replay order
 // becomes the owner, so its bits are always recorded before any follower
-// consumes them. Only the sequential broadcast path may use this —
-// parallel fan-out replays groups concurrently, with no owner-first
-// ordering across them.
-func extractDirShares(groups []*oracleGroup) []dirSharePlan {
+// consumes them. A unit replays its members one after another in fixed
+// order, which is what makes the owner-first guarantee hold; streams never
+// cross units, since units replay concurrently.
+func extractDirShares(members []groupMember) []dirSharePlan {
 	var plans []dirSharePlan
 	owners := make(map[string]int)
-	for _, g := range groups {
-		for _, m := range g.members {
-			es, ok := m.as.(interface{ EchoFrontend() *Frontend })
-			if !ok {
-				continue
-			}
-			fr := es.EchoFrontend()
-			if fr == nil {
-				continue
-			}
-			key, ok := fr.DirShareKey()
-			if !ok {
-				continue
-			}
-			if pi, seen := owners[key]; seen {
-				plans[pi].followers = append(plans[pi].followers, fr)
-			} else {
-				owners[key] = len(plans)
-				plans = append(plans, dirSharePlan{owner: fr})
-			}
+	for _, m := range members {
+		es, ok := m.as.(interface{ EchoFrontend() *Frontend })
+		if !ok {
+			continue
+		}
+		fr := es.EchoFrontend()
+		if fr == nil {
+			continue
+		}
+		key, ok := fr.DirShareKey()
+		if !ok {
+			continue
+		}
+		if pi, seen := owners[key]; seen {
+			plans[pi].followers = append(plans[pi].followers, fr)
+		} else {
+			owners[key] = len(plans)
+			plans = append(plans, dirSharePlan{owner: fr})
 		}
 	}
 	kept := plans[:0]
@@ -213,106 +198,70 @@ func releaseDirShares(plans []dirSharePlan) {
 	}
 }
 
-// broadcastPipeline gates the sequential path's double-buffered annotation
-// pipeline. With a single P the annotator goroutines cannot overlap the
-// replay and only add scheduling latency, so the pipeline engages exactly
-// when spare parallelism exists; tests toggle the gate to exercise both
-// paths on any machine.
-var broadcastPipeline = runtime.GOMAXPROCS(0) > 1
+// replayUnit is one replay goroutine's share of the engines: its grouped
+// members (group-major, engine order within a group) and its private
+// engines (engine order), replayed in that fixed order for every slot.
+type replayUnit struct {
+	members []groupMember
+	private []func(annotated)
+}
 
-// broadcastSequentialInline annotates and replays each chunk in one
-// goroutine: annotate every group, replay every member, repeat.
-func broadcastSequentialInline(next func() annotated, private []func(annotated), groups []*oracleGroup) int64 {
-	var n int64
-	for blk := next(); len(blk.recs) > 0; blk = next() {
-		for _, g := range groups {
+// ringSlot names one annotated chunk: the block and the ring slot whose
+// per-group annotation buffers hold its oracle annotations.
+type ringSlot struct {
+	blk annotated
+	idx int
+}
+
+// annotate runs every group's oracle over blk into slot idx, one goroutine
+// per group (the groups share no mutable state), and bulk-credits each
+// group's echoes from the fresh annotation. Echoes appear in no unit, so
+// the annotation goroutine is their only writer.
+func annotate(groups []*oracleGroup, blk annotated, idx int) {
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		wg.Add(1)
+		go func(g *oracleGroup) {
+			defer wg.Done()
 			runs := blk.runs
 			if !g.runsOK {
 				runs = nil
 			}
-			g.oracle.Annotate(blk.recs, runs, &g.ann[0])
-			replayGroup(g, blk, &g.ann[0])
-		}
-		for _, s := range private {
-			s(blk)
-		}
-		n += int64(len(blk.recs))
+			g.oracle.Annotate(blk.recs, runs, &g.ann[idx])
+			for _, ef := range g.echoes {
+				ef.echoCredit(len(blk.recs), &g.ann[idx])
+			}
+		}(g)
 	}
-	return n
+	wg.Wait()
 }
 
-// broadcastSequentialPipelined is broadcastSequentialInline with the
-// annotation stage running one chunk ahead: an annotator goroutine fills
-// the parity-p buffers of every group for chunk k+1 — each geometry
-// group's oracle pass in its own goroutine, they share no state — while
-// the main goroutine replays chunk k from the parity-(1-p) buffers. The
-// two parity tokens circulate through the free channel, so a buffer is
-// never annotated over until its chunk has fully replayed. Replay stays in
-// the main goroutine in the exact order of the inline path, which keeps
-// counters — and the shared direction-bit streams — bit-identical to it.
-func broadcastSequentialPipelined(next func() annotated, private []func(annotated), groups []*oracleGroup) int64 {
-	type slot struct {
-		blk annotated
-		par int
-	}
-	ready := make(chan slot, 1)
-	free := make(chan int, 2)
-	free <- 0
-	free <- 1
-	go func() {
-		defer close(ready)
-		for blk := next(); len(blk.recs) > 0; blk = next() {
-			par := <-free
-			var wg sync.WaitGroup
-			for _, g := range groups {
-				wg.Add(1)
-				go func(g *oracleGroup) {
-					defer wg.Done()
-					runs := blk.runs
-					if !g.runsOK {
-						runs = nil
-					}
-					g.oracle.Annotate(blk.recs, runs, &g.ann[par])
-				}(g)
-			}
-			wg.Wait()
-			ready <- slot{blk, par}
-		}
-	}()
-	var n int64
+// replay feeds every slot from ready to the unit's engines, in plan order,
+// and frees a slot once the last unit has finished it.
+func (u *replayUnit) replay(ready <-chan ringSlot, pending *[ringSlots]atomic.Int32, free chan<- int) {
 	for s := range ready {
-		for _, g := range groups {
-			replayGroup(g, s.blk, &g.ann[s.par])
+		for _, m := range u.members {
+			m.as.StepBlockEvents(s.blk.recs, &m.g.ann[s.idx])
 		}
-		for _, p := range private {
+		for _, p := range u.private {
 			p(s.blk)
 		}
-		n += int64(len(s.blk.recs))
-		free <- s.par
-	}
-	return n
-}
-
-// replayGroup feeds one annotated chunk to a group's members and echoes.
-func replayGroup(g *oracleGroup, blk annotated, ann *cache.AccessAnnotations) {
-	for _, m := range g.members {
-		m.as.StepBlockEvents(blk.recs, ann)
-	}
-	for _, ef := range g.echoes {
-		ef.echoCredit(len(blk.recs), ann)
+		if pending[s.idx].Add(-1) == 0 {
+			free <- s.idx
+		}
 	}
 }
 
 // replayPlan resolves how blocks are drawn and how each engine replays
 // them. Eligible engines (annStepper with OracleGroup ok) sharing a cache
 // geometry with at least one other eligible engine form an oracleGroup and
-// replay via StepBlockAnnotated from the group's shared oracle. Every
-// other engine — pollution-on, probed, non-Frontend, or alone in its
-// geometry (an oracle for one engine is pure overhead) — replays privately:
-// via StepBlockRuns when src annotates blocks for its line size, else via
-// StepBlock. private holds the private replay closures; groups the oracle
-// groups (singletons already demoted).
-func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated, private []func(annotated), groups []*oracleGroup) {
+// replay via StepBlockEvents from the group's shared oracle. Every other
+// engine — pollution-on, probed, non-Frontend, or alone in its geometry
+// (an oracle for one engine is pure overhead) — replays privately: via
+// StepBlockRuns when src annotates blocks for its line size, else via
+// StepBlock. Echoed engines (extractEchoes) replay nowhere; the others
+// round-robin in engine order onto min(workers, replaying engines) units.
+func replayPlan(src trace.ChunkSource, engines []Engine, workers int) (next func() annotated, groups []*oracleGroup, units []replayUnit, echoes []echoPair) {
 	rs, _ := src.(trace.RunChunkSource)
 	if rs != nil && rs.RunLineBytes() > 0 {
 		next = func() annotated {
@@ -322,14 +271,6 @@ func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated,
 	} else {
 		rs = nil
 		next = func() annotated { return annotated{recs: src.NextChunk()} }
-	}
-
-	privateStep := func(e Engine) func(annotated) {
-		if re, ok := e.(runStepper); ok && rs != nil &&
-			re.ICache().Geometry().LineBytes() == rs.RunLineBytes() {
-			return func(b annotated) { re.StepBlockRuns(b.recs, b.runs) }
-		}
-		return func(b annotated) { e.StepBlock(b.recs) }
 	}
 
 	// Tentatively group every eligible engine by geometry, in engine order
@@ -347,200 +288,135 @@ func replayPlan(src trace.ChunkSource, engines []Engine) (next func() annotated,
 					groupOf[geom] = g
 					groups = append(groups, g)
 				}
-				g.members = append(g.members, groupMember{idx: i, as: as})
-				continue
+				g.members = append(g.members, groupMember{idx: i, g: g, as: as})
 			}
 		}
-		private = append(private, privateStep(e))
 	}
 	// Demote singleton groups: simulating an oracle plus one mirror is
 	// strictly more work than one private cache.
+	grouped := make([]bool, len(engines))
 	kept := groups[:0]
 	for _, g := range groups {
 		if len(g.members) < 2 {
-			private = append(private, privateStep(engines[g.members[0].idx]))
 			continue
+		}
+		for _, m := range g.members {
+			grouped[m.idx] = true
 		}
 		kept = append(kept, g)
 	}
 	groups = kept
-	return next, private, groups
+	echoes = extractEchoes(groups)
+
+	// Deal the replaying engines round-robin, in engine order, onto the
+	// units; echoes (unit -1) replay nowhere.
+	unitOf := make([]int, len(engines))
+	for _, p := range echoes {
+		unitOf[p.idx] = -1
+	}
+	units = make([]replayUnit, min(max(workers, 1), len(engines)-len(echoes)))
+	k := 0
+	for i := range unitOf {
+		if unitOf[i] == 0 {
+			unitOf[i] = k % len(units)
+			k++
+		}
+	}
+	for _, g := range groups {
+		for _, m := range g.members {
+			u := &units[unitOf[m.idx]]
+			u.members = append(u.members, m)
+		}
+	}
+	for i, e := range engines {
+		if grouped[i] {
+			continue
+		}
+		u := &units[unitOf[i]]
+		if re, ok := e.(runStepper); ok && rs != nil &&
+			re.ICache().Geometry().LineBytes() == rs.RunLineBytes() {
+			u.private = append(u.private, func(b annotated) { re.StepBlockRuns(b.recs, b.runs) })
+		} else {
+			u.private = append(u.private, func(b annotated) { e.StepBlock(b.recs) })
+		}
+	}
+	return next, groups, units, echoes
 }
 
-// sharedAnn is one block's access annotation fanned to the workers owning
-// a group's members; the last consumer recycles the slot buffer.
-type sharedAnn struct {
-	cache.AccessAnnotations
-	refs atomic.Int32
-}
-
-// workItem is one unit handed to a parallel broadcast worker: a block for
-// the worker's private engines (ann nil) or an annotated block for the
-// worker's members of group gid.
-type workItem struct {
-	recs []trace.Record
-	runs []uint8
-	gid  int
-	ann  *sharedAnn
-}
-
-// BroadcastWorkers is Broadcast with an explicit worker bound. Each engine
-// is owned by exactly one worker for the whole replay, so every engine
-// consumes blocks strictly in trace order with no per-record locking.
-// workers <= 1 replays on the calling goroutine.
+// BroadcastWorkers replays a trace ONCE through every engine, with at most
+// workers replay goroutines, and returns the number of records replayed.
+// Each block drawn from src reaches every engine, so a sweep cell of E
+// engines reads the records one time instead of E times, and every engine
+// consumes the blocks strictly in trace order.
+//
+// There is one schedule at every worker count. One annotation goroutine
+// draws each block and runs every oracle group's annotation pass into a
+// free slot of a small ring, then hands the slot to every replay unit;
+// since it only ever waits for a free slot, it annotates chunk k+1 while
+// the units replay chunk k. Each engine is owned by exactly one unit for
+// the whole replay, and each unit replays every slot in fixed plan order,
+// so counters are deterministic and the units can share direction-bit
+// streams among their own members (extractDirShares). A slot returns to
+// the ring when the last unit finishes it. Unit 0 runs on the calling
+// goroutine, so workers <= 1 replays there, one chunk behind the
+// annotation.
 func BroadcastWorkers(src trace.ChunkSource, workers int, engines ...Engine) int64 {
 	if len(engines) == 0 {
 		return 0
 	}
-	next, private, groups := replayPlan(src, engines)
-	echoes := extractEchoes(groups)
-	if workers > len(engines) {
-		workers = len(engines)
-	}
-	if workers <= 1 {
-		// Sequential chunk-major replay: block k visits every engine
-		// while it is hot, then block k+1 is drawn. Each group's oracle
-		// annotates the block once into a reusable group buffer; its
-		// members then consume the annotation back to back and its echoes
-		// take only the bulk i-cache credit. Replay order is deterministic
-		// here, so engines with identical direction predictors
-		// additionally share one recorded bit stream per chunk.
-		shares := extractDirShares(groups)
-		var n int64
-		if broadcastPipeline && len(groups) > 0 {
-			n = broadcastSequentialPipelined(next, private, groups)
-		} else {
-			n = broadcastSequentialInline(next, private, groups)
-		}
-		for _, g := range groups {
-			g.ann[0].Release()
-			g.ann[1].Release()
-		}
-		for _, p := range echoes {
-			p.echo.adoptBreakMetrics(p.leader)
-		}
-		releaseDirShares(shares)
-		return n
+	next, groups, units, echoes := replayPlan(src, engines, workers)
+	var shares []dirSharePlan
+	for _, u := range units {
+		shares = append(shares, extractDirShares(u.members)...)
 	}
 
-	// Parallel fan-out. Engines keep their static round-robin worker
-	// assignment (engine i → worker i mod workers); each worker drains its
-	// own bounded channel. Grouped engines add one producer goroutine per
-	// group: it annotates each block once and fans the shared annotation
-	// to exactly the workers owning members of that group, refcounted so
-	// the last consumer recycles the buffer. The producer graph is acyclic
-	// (main → group oracles → workers, main → workers), so the bounded
-	// channels cannot deadlock.
-	wch := make([]chan workItem, workers)
-	ownPrivate := make([][]func(annotated), workers)
-	ownGrouped := make([][][]groupMember, workers)
-	for w := range wch {
-		wch[w] = make(chan workItem, broadcastDepth)
-		ownGrouped[w] = make([][]groupMember, len(groups))
+	var (
+		n       int64
+		pending [ringSlots]atomic.Int32
+		free    = make(chan int, ringSlots)
+		ready   = make([]chan ringSlot, len(units))
+	)
+	for i := 0; i < ringSlots; i++ {
+		free <- i
 	}
-	// Private engines and group members round-robin onto workers by their
-	// original engine index; private closures round-robin by position
-	// (their engine indices are no longer needed).
-	for i, s := range private {
-		w := i % workers
-		ownPrivate[w] = append(ownPrivate[w], s)
+	for u := range ready {
+		ready[u] = make(chan ringSlot, ringSlots)
 	}
-	groupWorkers := make([][]int, len(groups))
-	for gi, g := range groups {
-		seen := make(map[int]bool, workers)
-		for _, m := range g.members {
-			w := m.idx % workers
-			ownGrouped[w][gi] = append(ownGrouped[w][gi], m)
-			if !seen[w] {
-				seen[w] = true
-				groupWorkers[gi] = append(groupWorkers[gi], w)
+	go func() {
+		for blk := next(); len(blk.recs) > 0; blk = next() {
+			idx := <-free
+			annotate(groups, blk, idx)
+			n += int64(len(blk.recs))
+			pending[idx].Store(int32(len(units)))
+			for _, ch := range ready {
+				ch <- ringSlot{blk, idx}
 			}
 		}
-	}
-
-	var wwg sync.WaitGroup
-	for w := range wch {
-		wwg.Add(1)
-		go func(w int) {
-			defer wwg.Done()
-			for it := range wch[w] {
-				if it.ann == nil {
-					for _, s := range ownPrivate[w] {
-						s(annotated{it.recs, it.runs})
-					}
-					continue
-				}
-				for _, m := range ownGrouped[w][it.gid] {
-					m.as.StepBlockEvents(it.recs, &it.ann.AccessAnnotations)
-				}
-				if it.ann.refs.Add(-1) == 0 {
-					it.ann.Release()
-				}
-			}
-		}(w)
-	}
-
-	var gwg sync.WaitGroup
-	gin := make([]chan annotated, len(groups))
-	for gi, g := range groups {
-		gin[gi] = make(chan annotated, broadcastDepth)
-		targets := groupWorkers[gi]
-		gwg.Add(1)
-		go func(gi int, g *oracleGroup, targets []int) {
-			defer gwg.Done()
-			for blk := range gin[gi] {
-				runs := blk.runs
-				if !g.runsOK {
-					runs = nil
-				}
-				ann := &sharedAnn{}
-				g.oracle.Annotate(blk.recs, runs, &ann.AccessAnnotations)
-				// The group's echoes are owned by this goroutine alone
-				// (they appear in no worker's member list), so their bulk
-				// credit happens here, before the annotation is shared.
-				for _, ef := range g.echoes {
-					ef.echoCredit(len(blk.recs), &ann.AccessAnnotations)
-				}
-				if len(targets) == 0 {
-					// Every member of this geometry was echoed away; the
-					// annotation existed only for the credit above.
-					ann.Release()
-					continue
-				}
-				ann.refs.Store(int32(len(targets)))
-				for _, w := range targets {
-					wch[w] <- workItem{recs: blk.recs, runs: runs, gid: gi, ann: ann}
-				}
-			}
-		}(gi, g, targets)
-	}
-
-	anyPrivate := make([]bool, workers)
-	for w := range anyPrivate {
-		anyPrivate[w] = len(ownPrivate[w]) > 0
-	}
-	var n int64
-	for blk := next(); len(blk.recs) > 0; blk = next() {
-		n += int64(len(blk.recs))
-		for gi := range gin {
-			gin[gi] <- blk
+		for _, ch := range ready {
+			close(ch)
 		}
-		for w, own := range anyPrivate {
-			if own {
-				wch[w] <- workItem{recs: blk.recs, runs: blk.runs, gid: -1}
-			}
+	}()
+	var wg sync.WaitGroup
+	for u := 1; u < len(units); u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			units[u].replay(ready[u], &pending, free)
+		}(u)
+	}
+	// Unit 0's channel closes only after the annotation goroutine's last
+	// write, so n and the echo credits are visible once it drains.
+	units[0].replay(ready[0], &pending, free)
+	wg.Wait()
+
+	for _, g := range groups {
+		for i := range g.ann {
+			g.ann[i].Release()
 		}
 	}
-	for gi := range gin {
-		close(gin[gi])
-	}
-	gwg.Wait()
-	for _, ch := range wch {
-		close(ch)
-	}
-	wwg.Wait()
 	for _, p := range echoes {
 		p.echo.adoptBreakMetrics(p.leader)
 	}
+	releaseDirShares(shares)
 	return n
 }

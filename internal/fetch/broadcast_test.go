@@ -26,7 +26,7 @@ func broadcastEngines() (bcast, oracle []Engine) {
 	return mk(), mk()
 }
 
-// TestBroadcastMatchesRun: replaying a chunked trace once through Broadcast
+// TestBroadcastMatchesRun: replaying a chunked trace once through BroadcastWorkers
 // leaves every engine with exactly the counters the per-record Run path
 // produces, at any worker count.
 func TestBroadcastMatchesRun(t *testing.T) {
@@ -131,7 +131,7 @@ func TestBroadcastStreaming(t *testing.T) {
 func TestBroadcastNoEngines(t *testing.T) {
 	tr := trace.Chunk(workload.Li().MustTrace(2_000), 256)
 	it := tr.Chunks()
-	if n := Broadcast(it); n != 0 {
+	if n := BroadcastWorkers(it, 1); n != 0 {
 		t.Fatalf("replayed %d records with no engines", n)
 	}
 	if blk := it.NextChunk(); len(blk) != 256 {

@@ -54,7 +54,8 @@ func TestReplayPlanPartitioning(t *testing.T) {
 
 	engines := []Engine{eligibleA, polluted, eligibleB, probed, lone, prefetched}
 	src := trace.Chunk(workload.Li().MustTrace(1_000), 256)
-	_, private, groups := replayPlan(src.Chunks(), engines)
+	_, groups, units, _ := replayPlan(src.Chunks(), engines, 1)
+	private := units[0].private
 
 	if len(groups) != 1 {
 		t.Fatalf("got %d oracle groups, want 1", len(groups))
@@ -78,7 +79,8 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	probed.AttachProbe(nil)
 	prefetched.AttachPrefetcher(nil)
 	prefetched.SetFTQDepth(0)
-	_, private, groups = replayPlan(src.Chunks(), engines)
+	_, groups, units, _ = replayPlan(src.Chunks(), engines, 1)
+	private = units[0].private
 	if len(groups) != 1 || len(groups[0].members) != 5 || len(private) != 1 {
 		t.Errorf("after detach: %d groups / %d members / %d private, want 1/5/1",
 			len(groups), len(groups[0].members), len(private))
@@ -146,11 +148,11 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 	}
 }
 
-// TestStepBlockAnnotatedLongRun: a straight-line run longer than the uint8
+// TestGroupedReplayLongRun: a straight-line run longer than the uint8
 // RunLens cap (255) continues under a new leader; the oracle-annotated
 // replay must agree with the per-record path across that boundary. 2048-byte
 // lines hold 512 instructions, so one line spans two run segments.
-func TestStepBlockAnnotatedLongRun(t *testing.T) {
+func TestGroupedReplayLongRun(t *testing.T) {
 	g := cache.MustGeometry(8*1024, 2048, 1)
 	b := newTB(0x4000)
 	for i := 0; i < 3; i++ {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // Disk-backed trace corpus: generate once, replay many.
@@ -73,10 +74,11 @@ type CorpusWriter struct {
 	err     error
 }
 
-// CreateCorpus starts a new corpus at path (via an adjacent temp file,
-// renamed into place on Close).
+// CreateCorpus starts a new corpus at path (via a uniquely named temp file
+// in the same directory, renamed into place on Close), so concurrent builds
+// of one corpus never share a temp file and the last rename wins.
 func CreateCorpus(path string) (*CorpusWriter, error) {
-	f, err := os.Create(path + ".tmp")
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return nil, err
 	}
@@ -150,19 +152,24 @@ func (w *CorpusWriter) Close() error {
 		w.Abort()
 		return err
 	}
+	tmp := w.f.Name()
 	if err := w.f.Close(); err != nil {
-		os.Remove(w.path + ".tmp")
+		os.Remove(tmp)
 		return err
 	}
 	w.f = nil
-	return os.Rename(w.path+".tmp", w.path)
+	if err := os.Rename(tmp, w.path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }
 
 // Abort discards the partial corpus.
 func (w *CorpusWriter) Abort() {
 	if w.f != nil {
 		w.f.Close()
-		os.Remove(w.path + ".tmp")
+		os.Remove(w.f.Name())
 		w.f = nil
 	}
 }

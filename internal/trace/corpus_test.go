@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -207,19 +209,97 @@ func TestCorpusWriterAtomic(t *testing.T) {
 		t.Fatalf("corpus visible at final path before Close (stat err %v)", err)
 	}
 	w.Abort()
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("Abort left the temp file (stat err %v)", err)
-	}
+	assertDirHolds(t, dir)
 
 	writeTestCorpus(t, path, []*Trace{corpusTrace("x", 32, 6)})
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("Close left the temp file (stat err %v)", err)
-	}
+	assertDirHolds(t, dir, "a.nlsc")
 	c, err := OpenCorpus(path)
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}
 	c.Close()
+}
+
+// assertDirHolds fails unless dir holds exactly the named files: a writer
+// must leave no stray temp file behind.
+func assertDirHolds(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(names) {
+		t.Fatalf("directory holds %v, want %v", got, names)
+	}
+}
+
+// TestStressConcurrentCorpusBuild: eight goroutines build the same corpus
+// path at once, as concurrent sweep jobs over one program set do. Every
+// build must succeed (each writes its own temp file; the renames race
+// harmlessly, since every build writes identical bytes), the survivor must
+// decode to the same records, and no temp file may be left behind.
+func TestStressConcurrentCorpusBuild(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shared.nlsc")
+	traces := []*Trace{corpusTrace("alpha", 3000, 1), corpusTrace("beta", 2000, 2)}
+
+	const builders = 8
+	errs := make(chan error, builders)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < builders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			w, err := CreateCorpus(path)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for _, tr := range traces {
+				if err := w.Add(tr); err != nil {
+					w.Abort()
+					errs <- err
+					return
+				}
+			}
+			errs <- w.Close()
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Errorf("concurrent build: %v", err)
+		}
+	}
+
+	assertDirHolds(t, dir, "shared.nlsc")
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatalf("OpenCorpus: %v", err)
+	}
+	defer c.Close()
+	for _, tr := range traces {
+		got, err := c.Trace(tr.Name)
+		if err != nil {
+			t.Fatalf("Trace(%s): %v", tr.Name, err)
+		}
+		if len(got.Records) != len(tr.Records) {
+			t.Fatalf("%s: %d records, want %d", tr.Name, len(got.Records), len(tr.Records))
+		}
+		for j := range tr.Records {
+			if got.Records[j] != tr.Records[j] {
+				t.Fatalf("%s: record %d differs after concurrent builds", tr.Name, j)
+			}
+		}
+	}
 }
 
 // FuzzCorpusRead exercises the corpus header/index parser and both decode
