@@ -190,12 +190,8 @@ func sweepBench(b *testing.B) (*experiments.Runner, []experiments.Factory, []cac
 	sweepOnce.Do(func() {
 		sweepRunner = experiments.NewRunner(experiments.DefaultConfig(sweepBenchInsns))
 	})
-	chunked, err := sweepRunner.Chunked() // generates + chunks the traces
-	if err != nil {
+	if _, err := sweepRunner.Chunked(); err != nil { // generates + chunks the traces
 		b.Fatal(err)
-	}
-	for _, ct := range chunked {
-		ct.RunLens(experiments.LineBytes) // pre-warm the memoized annotations
 	}
 	factories := []experiments.Factory{
 		experiments.NLSCacheFactory(experiments.NLSPerLine),
@@ -274,12 +270,11 @@ func BenchmarkSweepPerCell(b *testing.B) {
 
 // BenchmarkSweepCorpusReplay is BenchmarkSweepBroadcast for a fresh
 // process replaying from the disk-backed trace corpus: every iteration
-// starts a brand-new Runner (no memoized traces, no pre-warmed run
-// annotations) that attaches a pre-built corpus and decodes its traces
-// instead of re-walking the CFG. Against a fresh Runner *without* the
-// corpus, the difference is the generate-once/replay-many win; against
-// BenchmarkSweepBroadcast, the delta is the whole cold-process overhead a
-// corpus leaves behind (decode + annotation warmup).
+// starts a brand-new Runner (no memoized traces) that attaches a pre-built
+// corpus and decodes its traces instead of re-walking the CFG. Against a
+// fresh Runner *without* the corpus, the difference is the
+// generate-once/replay-many win; against BenchmarkSweepBroadcast, the delta
+// is the whole cold-process overhead a corpus leaves behind (decode).
 func BenchmarkSweepCorpusReplay(b *testing.B) {
 	_, factories, caches := sweepBench(b)
 	cfg := experiments.DefaultConfig(sweepBenchInsns)

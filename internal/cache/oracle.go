@@ -63,7 +63,7 @@ const (
 // packed replay-event list, plus the block's miss count so consumers can
 // credit counters in bulk. Slots are written only for the records an
 // engine's batched replay actually dispatches on — run leaders and breaks;
-// the same-line followers that stepBlockRuns batches into one AccessRun
+// the same-line followers a run annotation batches into one AccessRun
 // always hit the leader's slot and their annotation bytes are left stale.
 // Buffers are recycled through trace's annotation-buffer pools (see
 // Release).
@@ -99,6 +99,8 @@ func (a *AccessAnnotations) Release() {
 // bit-identical to what each group member's private cache would have done.
 type Oracle struct {
 	c *Cache
+	// runs backs the run annotation Annotate derives when given none.
+	runs []uint8
 }
 
 // NewOracle builds a cold oracle for the geometry.
@@ -111,15 +113,17 @@ func (o *Oracle) Geometry() Geometry { return o.c.Geometry() }
 func (o *Oracle) Reset() { o.c.Reset() }
 
 // Annotate simulates one record block and fills ann with its access
-// outcomes and replay events. runs, when non-nil, is the block's shared
-// same-line run annotation for this geometry's line size
-// (trace.Chunked.RunLens contract); nil runs falls back to scanning the
-// line boundaries, exactly like the engines' own stepBlock path. ann's
-// buffers are grown from the trace annotation pools as needed and reused
-// across calls.
+// outcomes and replay events. runs is the block's same-line run annotation
+// for this geometry's line size (trace.BlockRuns); nil runs derives it into
+// a buffer the oracle reuses across calls. ann's buffers are grown from the
+// trace annotation pools as needed and reused across calls.
 func (o *Oracle) Annotate(recs []trace.Record, runs []uint8, ann *AccessAnnotations) {
 	if len(recs) > 1<<EvtIdxBits {
 		panic("cache: record block exceeds the event index field")
+	}
+	if runs == nil {
+		o.runs = trace.BlockRuns(recs, o.c.geom.LineBytes(), o.runs)
+		runs = o.runs
 	}
 	if cap(ann.Slots) < len(recs) {
 		trace.PutAnnBuf(ann.Slots)
@@ -163,59 +167,30 @@ func (o *Oracle) Annotate(recs []trace.Record, runs []uint8, ann *AccessAnnotati
 		if flags != 0 {
 			events = append(events, uint32(i-1)<<EvtShift|flags)
 		}
-		if runs != nil {
-			// Precomputed boundaries: identical traversal to
-			// base.stepBlockRuns.
+		// The traversal of the engines' run-driven block replay
+		// (fetch.Frontend.stepBlockRuns): batch each leader's same-line
+		// run, and access the leaders of a straight-line stretch in turn.
+		if n := uint64(runs[i-1]); n > 0 {
+			set, w := c.LastSlot()
+			c.AccessRun(set, w, n)
+			i += int(n)
+		}
+		for i < len(recs) && recs[i].Kind == isa.NonBranch {
+			if lhit, lway := c.Access(recs[i].PC); lhit {
+				slots[i] = uint8(lway) | AnnHit
+			} else {
+				slots[i] = uint8(lway)
+				events = append(events, uint32(i)<<EvtShift|EvtFill)
+			}
+			i++
 			if n := uint64(runs[i-1]); n > 0 {
 				set, w := c.LastSlot()
 				c.AccessRun(set, w, n)
 				i += int(n)
-			}
-			for i < len(recs) && recs[i].Kind == isa.NonBranch {
-				if lhit, lway := c.Access(recs[i].PC); lhit {
-					slots[i] = uint8(lway) | AnnHit
-				} else {
-					slots[i] = uint8(lway)
-					events = append(events, uint32(i)<<EvtShift|EvtFill)
-				}
-				i++
-				if n := uint64(runs[i-1]); n > 0 {
-					set, w := c.LastSlot()
-					c.AccessRun(set, w, n)
-					i += int(n)
-				}
-			}
-		} else {
-			// Scanning path: identical traversal to base.stepBlock.
-			i = o.runTail(recs, i, c.geom.LineAddr(r.PC))
-			for i < len(recs) && recs[i].Kind == isa.NonBranch {
-				if lhit, lway := c.Access(recs[i].PC); lhit {
-					slots[i] = uint8(lway) | AnnHit
-				} else {
-					slots[i] = uint8(lway)
-					events = append(events, uint32(i)<<EvtShift|EvtFill)
-				}
-				i++
-				i = o.runTail(recs, i, c.geom.LineAddr(recs[i-1].PC))
 			}
 		}
 	}
 	ann.Events = events
 	ann.Misses = c.misses - missBase
 	ann.ColdMisses = c.coldMisses - coldBase
-}
-
-// runTail batches the same-line non-branch records from i on (the mirror
-// of base.sameLineTail), returning the index after the run.
-func (o *Oracle) runTail(recs []trace.Record, i int, line uint32) int {
-	c := o.c
-	j := i
-	for j < len(recs) && recs[j].Kind == isa.NonBranch && c.geom.LineAddr(recs[j].PC) == line {
-		j++
-	}
-	if j > i {
-		set, way := c.LastSlot()
-		c.AccessRun(set, way, uint64(j-i))
-	}
-	return j
 }

@@ -93,7 +93,7 @@ func (x *Executor) RunAttribution(g Grid, topN int) ([]obs.Report, error) {
 				pa.AttachProbe(atts[j])
 				engines[j] = e
 			}
-			fetch.BroadcastWorkers(cellSource(ct, progCells), perProg, engines...)
+			fetch.BroadcastWorkers(ct.Chunks(), perProg, engines...)
 			// reports slots are disjoint per program; no lock needed.
 			for j, c := range progCells {
 				reports[i*cpp+j] = atts[j].Report(c.Arm, c.Prog.Name, topN, cfg.Penalties)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/fetch"
 	"repro/internal/multiissue"
 	"repro/internal/trace"
@@ -96,7 +95,11 @@ type ResultSet struct {
 }
 
 // CellTiming is the wall time one cell's engine spent replaying its
-// program, measured inside the broadcast worker that owned the engine.
+// program, measured by the broadcast replay around each of the engine's
+// block calls (fetch.BroadcastWorkers). An echoed cell — one whose break
+// metrics the broadcast copied from an identical engine at another cache
+// geometry — replays nothing and reads 0; the shared run and oracle
+// annotation passes are attributed to no cell.
 type CellTiming struct {
 	Program string  `json:"program"`
 	Arch    string  `json:"arch"`
@@ -291,16 +294,15 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 				return
 			}
 			engines := make([]fetch.Engine, len(w.cells))
-			durs := make([]*time.Duration, len(w.cells))
 			for j, c := range w.cells {
 				e, err := c.Spec.Build()
 				if err != nil {
 					fail(fmt.Errorf("cell %s/%s: %w", c.Prog.Name, c.Arm, err))
 					return
 				}
-				engines[j], durs[j] = timeEngine(e)
+				engines[j] = e
 			}
-			src := cellSource(ct, w.cells)
+			var src trace.ChunkSource = ct.Chunks()
 
 			// Tee the single replay read into the statistics collectors.
 			var sc *trace.StatsCollector
@@ -327,8 +329,9 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 
 			replayStart := time.Now()
 			var n int64
+			var durs []time.Duration
 			if len(engines) > 0 {
-				n = fetch.BroadcastWorkers(src, perProg, engines...)
+				n, durs = fetch.BroadcastWorkers(src, perProg, engines...)
 			} else {
 				// Info-only replay: every cell was served by the store but
 				// the statistics were not; drain the trace through the tee.
@@ -420,116 +423,6 @@ func (x *Executor) RunGrids(needInfo bool, grids ...Grid) (*ResultSet, error) {
 		}
 	}
 	return rs, nil
-}
-
-// timedEngine wraps a cell's engine to meter the wall time spent stepping
-// it. An engine is owned by exactly one worker for a whole replay
-// (fetch.BroadcastWorkers), so dur needs no locking; time.Now is taken once
-// per block (tens of thousands of records), so the meter is invisible next
-// to the replay itself.
-type timedEngine struct {
-	fetch.Engine
-	dur time.Duration
-}
-
-func (t *timedEngine) StepBlock(recs []trace.Record) {
-	start := time.Now()
-	t.Engine.StepBlock(recs)
-	t.dur += time.Since(start)
-}
-
-// runFastPath mirrors the broadcaster's optional shared-run-annotation
-// interface; the timing wrapper must forward it, or wrapping would silently
-// demote every engine to the per-engine boundary-scan path.
-type runFastPath interface {
-	StepBlockRuns(recs []trace.Record, runs []uint8)
-	ICache() *cache.Cache
-}
-
-// oracleFastPath mirrors the broadcaster's shared-fetch-oracle interface
-// (DESIGN.md §11); like runFastPath, the timing wrapper must forward it or
-// wrapped engines would silently lose oracle grouping and re-simulate
-// their i-caches privately.
-type oracleFastPath interface {
-	StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations)
-	OracleGroup() (cache.Geometry, bool)
-}
-
-// timedRunEngine is timedEngine for engines that consume shared run
-// annotations (all the built-in engines).
-type timedRunEngine struct {
-	timedEngine
-	fast runFastPath
-	orc  oracleFastPath // nil when the engine has no annotated path
-}
-
-func (t *timedRunEngine) StepBlockRuns(recs []trace.Record, runs []uint8) {
-	start := time.Now()
-	t.fast.StepBlockRuns(recs, runs)
-	t.dur += time.Since(start)
-}
-
-func (t *timedRunEngine) ICache() *cache.Cache { return t.fast.ICache() }
-
-func (t *timedRunEngine) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
-	start := time.Now()
-	t.orc.StepBlockEvents(recs, ann)
-	t.dur += time.Since(start)
-}
-
-// EchoFrontend forwards the broadcaster's echo-dedup hook (like
-// runFastPath/oracleFastPath, the wrapper must forward it or wrapped
-// engines would silently lose cross-geometry echoing); nil means the
-// wrapped engine has no Frontend to echo.
-func (t *timedRunEngine) EchoFrontend() *fetch.Frontend {
-	if es, ok := t.Engine.(interface{ EchoFrontend() *fetch.Frontend }); ok {
-		return es.EchoFrontend()
-	}
-	return nil
-}
-
-// OracleGroup forwards the wrapped engine's grouping key; an engine with
-// no annotated path is simply never eligible. The meter only times the
-// member-side annotated replay — the shared oracle's own simulation is
-// broadcast overhead, attributed to no single cell.
-func (t *timedRunEngine) OracleGroup() (cache.Geometry, bool) {
-	if t.orc == nil {
-		return cache.Geometry{}, false
-	}
-	return t.orc.OracleGroup()
-}
-
-// timeEngine wraps e with the timing meter matching its capabilities and
-// returns the wrapped engine plus a pointer to its accumulated duration
-// (valid to read once the replay's broadcast has returned).
-func timeEngine(e fetch.Engine) (fetch.Engine, *time.Duration) {
-	if f, ok := e.(runFastPath); ok {
-		te := &timedRunEngine{timedEngine: timedEngine{Engine: e}, fast: f}
-		te.orc, _ = e.(oracleFastPath)
-		return te, &te.dur
-	}
-	te := &timedEngine{Engine: e}
-	return te, &te.dur
-}
-
-// cellSource picks the chunk source for one program's broadcast: when
-// every pending cell shares one line size (always true for the paper's
-// 32-byte-line matrix), the blocks carry the trace's memoized same-line
-// run annotations (trace.Chunked.RunLens), so the run-boundary scan
-// happens once per chunk instead of once per engine. Mixed line sizes fall
-// back to plain blocks and per-engine scanning; an info-only replay uses
-// plain blocks (no engine consumes annotations).
-func cellSource(ct *trace.Chunked, cells []Cell) trace.ChunkSource {
-	if len(cells) == 0 {
-		return ct.Chunks()
-	}
-	lb := cells[0].Spec.Cache.LineBytes
-	for _, c := range cells[1:] {
-		if c.Spec.Cache.LineBytes != lb {
-			return ct.Chunks()
-		}
-	}
-	return ct.ChunksRuns(lb)
 }
 
 // RenderContext is everything a figure renderer may consume: the resolved

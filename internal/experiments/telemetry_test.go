@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cache"
 	"repro/internal/fetch"
 	"repro/internal/workload"
 )
@@ -109,8 +110,11 @@ func TestAttributionFigureRenders(t *testing.T) {
 }
 
 // TestCellTimingsAndDedup checks the executor's telemetry accounting:
-// every simulated cell gets a wall-time entry, store-served cells get
-// none, and cross-grid duplicate requests are counted.
+// every simulated cell gets a wall-time entry, measured by the broadcast
+// and nonzero for every replayed cell, an echoed cell (the 8KB BTB, whose
+// break metrics the broadcast copies from the 16KB one) reads 0,
+// store-served cells get none, and cross-grid duplicate requests are
+// counted.
 func TestCellTimingsAndDedup(t *testing.T) {
 	cfg := Config{Insns: 40_000, Programs: []workload.Spec{workload.Li()},
 		Penalties: DefaultConfig(0).Penalties}
@@ -119,12 +123,17 @@ func TestCellTimingsAndDedup(t *testing.T) {
 		{Name: "nls again", Spec: arch.NLSTable(1024), Caches: cache16KDirect()},
 		{Name: "btb", Spec: arch.BTB(128, 1), Caches: cache16KDirect()},
 	}}
+	c8K := []cache.Geometry{cache.MustGeometry(8*1024, LineBytes, 1)}
+	c := Grid{Name: "c", Arms: []Arm{
+		{Name: "nls", Spec: arch.NLSTable(1024), Caches: c8K},
+		{Name: "btb", Spec: arch.BTB(128, 1), Caches: c8K},
+	}}
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := &Executor{R: NewRunner(cfg), Store: store}
-	rs, err := x.RunGrids(false, a, b)
+	rs, err := x.RunGrids(false, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +143,27 @@ func TestCellTimingsAndDedup(t *testing.T) {
 	if len(rs.Timings) != rs.Simulated {
 		t.Fatalf("%d timings for %d simulated cells", len(rs.Timings), rs.Simulated)
 	}
+	echoed := 0
 	for _, ct := range rs.Timings {
-		if ct.Program == "" || ct.Arch == "" || ct.Cache == "" || ct.Seconds < 0 {
+		if ct.Program == "" || ct.Arch == "" || ct.Cache == "" {
 			t.Errorf("malformed timing entry: %+v", ct)
 		}
+		if ct.Arch == "btb" && ct.Cache == c8K[0].String() {
+			echoed++
+			if ct.Seconds != 0 {
+				t.Errorf("echoed cell reports %gs of replay, want 0: %+v", ct.Seconds, ct)
+			}
+		} else if ct.Seconds <= 0 {
+			t.Errorf("replayed cell reports no replay time: %+v", ct)
+		}
+	}
+	if echoed != 1 {
+		t.Errorf("%d timings for the echoed cell, want 1", echoed)
 	}
 
 	// Warm run: everything store-served, so no timings.
 	warm := &Executor{R: NewRunner(cfg), Store: store}
-	wrs, err := warm.RunGrids(false, a, b)
+	wrs, err := warm.RunGrids(false, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +172,7 @@ func TestCellTimingsAndDedup(t *testing.T) {
 	}
 
 	// The manifest assembles the run's accounting and writes valid JSON.
-	m := NewRunManifest(x, rs, []string{"a", "b"}, []string{"test"})
+	m := NewRunManifest(x, rs, []string{"a", "b", "c"}, []string{"test"})
 	if m.Schema != ManifestSchema || m.CellsSimulated != rs.Simulated ||
 		m.CellsDeduped != 1 || m.Build.GoVersion == "" {
 		t.Errorf("manifest accounting: %+v", m)

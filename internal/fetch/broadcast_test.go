@@ -35,9 +35,12 @@ func TestBroadcastMatchesRun(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 3, 16} {
 		bcast, oracle := broadcastEngines()
-		n := BroadcastWorkers(chunked.Chunks(), workers, bcast...)
+		n, durs := BroadcastWorkers(chunked.Chunks(), workers, bcast...)
 		if n != int64(tr.Len()) {
 			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
+		}
+		if len(durs) != len(bcast) {
+			t.Fatalf("workers=%d: %d durations for %d engines", workers, len(durs), len(bcast))
 		}
 		for i, e := range oracle {
 			want := *Run(e, tr)
@@ -50,17 +53,36 @@ func TestBroadcastMatchesRun(t *testing.T) {
 	}
 }
 
-// TestBroadcastRunsAnnotated: a ChunksRuns source (shared precomputed run
-// annotations) is bit-identical to the plain replay at any worker count —
-// the broadcaster routes matching-line-size engines through StepBlockRuns.
+// TestBroadcastRunsAnnotated: private engines (wrong-path pollution keeps
+// every one out of the oracle groups) replay from the broadcast's shared
+// per-chunk run annotation, bit-identically to the per-record Run path at
+// any worker count.
 func TestBroadcastRunsAnnotated(t *testing.T) {
 	tr := workload.Li().MustTrace(60_000)
 	chunked := trace.Chunk(tr, 1024)
+	polluted := func() []Engine {
+		engines, _ := broadcastEngines()
+		for _, e := range engines {
+			e.(interface{ SetWrongPathPollution(bool) }).SetWrongPathPollution(true)
+		}
+		return engines
+	}
 
 	for _, workers := range []int{1, 3} {
-		bcast, oracle := broadcastEngines()
-		n := BroadcastWorkers(chunked.ChunksRuns(32), workers, bcast...)
-		if n != int64(tr.Len()) {
+		bcast, oracle := polluted(), polluted()
+		p := newReplay(bcast, workers)
+		if len(p.groups) != 0 || len(p.lineBytes) != 1 {
+			t.Fatalf("workers=%d: %d groups, run line sizes %v; want 0 groups, one size",
+				workers, len(p.groups), p.lineBytes)
+		}
+		for _, u := range p.units {
+			for _, m := range u {
+				if m.runs != 0 {
+					t.Fatalf("engine %s does not replay from the shared runs", m.e.Name())
+				}
+			}
+		}
+		if n := p.run(chunked.Chunks()); n != int64(tr.Len()) {
 			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
 		}
 		for i, e := range oracle {
@@ -73,9 +95,9 @@ func TestBroadcastRunsAnnotated(t *testing.T) {
 	}
 }
 
-// TestStepBlockRunsMatchesStepBlock: the precomputed-run replay path is
-// exactly the scanning path (and a plain Step loop) for every engine, with
-// and without an annotation.
+// TestStepBlockRunsMatchesStepBlock: replaying from a precomputed run
+// annotation is exactly StepBlock (which derives its own) and a plain Step
+// loop, for every engine.
 func TestStepBlockRunsMatchesStepBlock(t *testing.T) {
 	tr := workload.Groff().MustTrace(30_000)
 	chunked := trace.Chunk(tr, 1000)
@@ -83,22 +105,17 @@ func TestStepBlockRunsMatchesStepBlock(t *testing.T) {
 
 	bcast, oracle := broadcastEngines()
 	for i := range bcast {
-		re, ok := bcast[i].(interface {
-			StepBlockRuns(recs []trace.Record, runs []uint8)
-		})
-		if !ok {
-			t.Fatalf("engine %s does not implement StepBlockRuns", bcast[i].Name())
-		}
+		fr := bcast[i].(interface{ frontend() *Frontend }).frontend()
 		for bi := 0; bi < chunked.NumChunks(); bi++ {
 			if bi%2 == 0 {
-				re.StepBlockRuns(chunked.Block(bi), runs[bi])
+				fr.stepBlockRuns(chunked.Block(bi), runs[bi])
 			} else {
-				re.StepBlockRuns(chunked.Block(bi), nil) // fallback path
+				fr.StepBlock(chunked.Block(bi))
 			}
 		}
 		want := *Run(oracle[i], tr)
 		if got := *bcast[i].Counters(); got != want {
-			t.Errorf("engine %s: StepBlockRuns diverges from Step", bcast[i].Name())
+			t.Errorf("engine %s: stepBlockRuns diverges from Step", bcast[i].Name())
 		}
 	}
 }
@@ -115,7 +132,7 @@ func TestBroadcastStreaming(t *testing.T) {
 	}
 
 	bcast, oracle := broadcastEngines()
-	got := BroadcastWorkers(trace.NewSourceChunks(src, n, 512), 2, bcast...)
+	got, _ := BroadcastWorkers(trace.NewSourceChunks(src, n, 512), 2, bcast...)
 	if got != n {
 		t.Fatalf("streamed %d records, want %d", got, n)
 	}
@@ -131,7 +148,7 @@ func TestBroadcastStreaming(t *testing.T) {
 func TestBroadcastNoEngines(t *testing.T) {
 	tr := trace.Chunk(workload.Li().MustTrace(2_000), 256)
 	it := tr.Chunks()
-	if n := BroadcastWorkers(it, 1); n != 0 {
+	if n, _ := BroadcastWorkers(it, 1); n != 0 {
 		t.Fatalf("replayed %d records with no engines", n)
 	}
 	if blk := it.NextChunk(); len(blk) != 256 {

@@ -21,7 +21,6 @@ package fetch
 
 import (
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/ras"
 	"repro/internal/trace"
@@ -123,94 +122,3 @@ func (b *base) resetBase() {
 // ICache exposes the engine's instruction cache (for inspection in tests
 // and the set-prediction ablation).
 func (b *base) ICache() *cache.Cache { return b.icache }
-
-// stepBlock implements StepBlock for every engine on top of its concrete
-// Step. Run-leaders and branches go through step unchanged; the non-branch
-// records that follow a non-break within the same cache line are pure
-// sequential fetches — for all four architectures their Step reduces to
-// {count the instruction, hit the just-accessed line, refresh LRU} — so the
-// whole run is applied as one batched cache.AccessRun. State and counters
-// evolve bit-identically to stepping each record (the engines' deferred
-// "pending" updates are armed only by breaks and resolved by the next
-// step()ed record, and batches never start until a step()ed non-break has
-// cleared them).
-//
-// The batch target comes from cache.LastSlot rather than a fresh Probe:
-// step(r) on a non-break record performs exactly one i-cache Access — of
-// r.PC, which fills the line on a miss — so afterwards r.PC's line is
-// resident at LastSlot by construction.
-func (b *base) stepBlock(recs []trace.Record, step func(trace.Record)) {
-	g := b.geom
-	for i := 0; i < len(recs); {
-		r := recs[i]
-		step(r)
-		i++
-		if r.IsBreak() {
-			// The break may have armed a deferred ("pending") update
-			// that the next step()ed record resolves.
-			continue
-		}
-		i = b.sameLineTail(g, recs, i, g.LineAddr(r.PC))
-		// Straight-line stretch: until the next branch record, no
-		// deferred update can be armed, so each line leader reduces to
-		// exactly the non-branch Step body — count it and access its
-		// line — with no dynamic dispatch.
-		for i < len(recs) && recs[i].Kind == isa.NonBranch {
-			b.m.Instructions++
-			b.icache.Access(recs[i].PC)
-			i++
-			i = b.sameLineTail(g, recs, i, g.LineAddr(recs[i-1].PC))
-		}
-	}
-}
-
-// sameLineTail batches the records from i on that continue recs[i-1]'s
-// sequential fetch run within line, returning the index after the run.
-func (b *base) sameLineTail(g cache.Geometry, recs []trace.Record, i int, line uint32) int {
-	j := i
-	for j < len(recs) && recs[j].Kind == isa.NonBranch && g.LineAddr(recs[j].PC) == line {
-		j++
-	}
-	if j > i {
-		set, way := b.icache.LastSlot()
-		b.icache.AccessRun(set, way, uint64(j-i))
-		b.m.Instructions += uint64(j - i)
-	}
-	return j
-}
-
-// stepBlockRuns is stepBlock with the same-line run lengths precomputed
-// (trace.Chunked.RunLens): the boundary scan is done once per chunk and
-// shared by every engine replaying it, instead of re-derived per engine.
-// runs must be parallel to recs and follow the RunChunkSource contract for
-// this engine's i-cache line size; the replay is bit-identical to stepBlock
-// (asserted by TestStepBlockRunsMatchesStepBlock).
-func (b *base) stepBlockRuns(recs []trace.Record, runs []uint8, step func(trace.Record)) {
-	for i := 0; i < len(recs); {
-		r := recs[i]
-		step(r)
-		i++
-		if r.IsBreak() {
-			continue // next record must resolve any pending update
-		}
-		if n := uint64(runs[i-1]); n > 0 {
-			set, way := b.icache.LastSlot()
-			b.icache.AccessRun(set, way, n)
-			b.m.Instructions += n
-			i += int(n)
-		}
-		// Straight-line stretch, as in stepBlock but with the line
-		// boundaries already annotated.
-		for i < len(recs) && recs[i].Kind == isa.NonBranch {
-			b.m.Instructions++
-			b.icache.Access(recs[i].PC)
-			i++
-			if n := uint64(runs[i-1]); n > 0 {
-				set, way := b.icache.LastSlot()
-				b.icache.AccessRun(set, way, n)
-				b.m.Instructions += n
-				i += int(n)
-			}
-		}
-	}
-}

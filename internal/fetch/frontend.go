@@ -158,6 +158,8 @@ type Frontend struct {
 
 	// oneRec backs the decoupled single-record Step without allocating.
 	oneRec [1]trace.Record
+	// runs backs the run annotation StepBlock derives for each block.
+	runs []uint8
 
 	// pending holds a break whose predictor update was deferred by
 	// TargetPredictor.Update until the successor's cache way is known;
@@ -241,30 +243,62 @@ func (f *Frontend) Reset() {
 	f.pending.active = false
 }
 
-// StepBlock implements Engine, batching same-line sequential fetch runs
-// (see base.stepBlock).
+// StepBlock implements Engine. The fused path derives the block's run
+// annotation (trace.BlockRuns) into a reused buffer and replays it through
+// stepBlockRuns; the decoupled pipeline steps per record.
 func (f *Frontend) StepBlock(recs []trace.Record) {
 	if f.decoupled() {
 		f.stepBlockDecoupled(recs)
 		return
 	}
-	f.stepBlock(recs, f.Step)
+	f.runs = trace.BlockRuns(recs, f.geom.LineBytes(), f.runs)
+	f.stepBlockRuns(recs, f.runs)
 }
 
-// StepBlockRuns is StepBlock with the run boundaries precomputed for this
-// engine's line size (see base.stepBlockRuns); nil runs falls back to the
-// scanning path. The decoupled pipeline steps per record and ignores the
-// annotation.
-func (f *Frontend) StepBlockRuns(recs []trace.Record, runs []uint8) {
-	if f.decoupled() {
-		f.stepBlockDecoupled(recs)
-		return
+// stepBlockRuns is the fused path's batched block replay; runs is the
+// block's run annotation for this engine's line size (trace.BlockRuns).
+// Run leaders and breaks go through Step unchanged; the non-branch records
+// that follow a non-break within the same cache line are pure sequential
+// fetches — for every architecture their Step reduces to {count the
+// instruction, hit the just-accessed line, refresh LRU} — so the whole run
+// is applied as one batched cache.AccessRun. State and counters evolve
+// bit-identically to stepping each record: deferred ("pending") updates
+// are armed only by breaks and resolved by the next stepped record, and
+// batches never start until a stepped non-break has cleared them.
+//
+// The batch target comes from cache.LastSlot rather than a fresh Probe:
+// Step on a non-break record performs exactly one i-cache Access — of its
+// PC, which fills the line on a miss — so afterwards that line is resident
+// at LastSlot by construction.
+func (f *Frontend) stepBlockRuns(recs []trace.Record, runs []uint8) {
+	for i := 0; i < len(recs); {
+		r := recs[i]
+		f.Step(r)
+		i++
+		if r.IsBreak() {
+			continue // the next record must resolve any pending update
+		}
+		if n := uint64(runs[i-1]); n > 0 {
+			set, way := f.icache.LastSlot()
+			f.icache.AccessRun(set, way, n)
+			f.m.Instructions += n
+			i += int(n)
+		}
+		// Straight-line stretch: until the next branch record no deferred
+		// update can be armed, so each line leader reduces to exactly the
+		// non-branch Step body — count it and access its line.
+		for i < len(recs) && recs[i].Kind == isa.NonBranch {
+			f.m.Instructions++
+			f.icache.Access(recs[i].PC)
+			i++
+			if n := uint64(runs[i-1]); n > 0 {
+				set, way := f.icache.LastSlot()
+				f.icache.AccessRun(set, way, n)
+				f.m.Instructions += n
+				i += int(n)
+			}
+		}
 	}
-	if runs == nil {
-		f.stepBlock(recs, f.Step)
-		return
-	}
-	f.stepBlockRuns(recs, runs, f.Step)
 }
 
 // Step implements Engine, applying the accounting rules of DESIGN.md §6.
@@ -378,7 +412,7 @@ func (f *Frontend) fetchOne(recs []trace.Record, i int) {
 // break incurred (the decoupled fetch stage redirects the BPU on any wrong
 // break). It is the post-fetch half of Step, shared verbatim by the
 // private-cache path (Step), the decoupled path (fetchOne), and the
-// annotated oracle path (StepBlockEvents), so every replay classifies
+// annotated oracle path (stepBlockEvents), so every replay classifies
 // breaks through literally the same code.
 func (f *Frontend) stepBreak(rec trace.Record, way int) PenaltyClass {
 	return f.stepBreakAt(rec, way, f.geom.SetIndex(rec.PC))
@@ -542,7 +576,7 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 	return penalty
 }
 
-// OracleGroup reports the geometry under which this engine may share a
+// oracleGroup reports the geometry under which this engine may share a
 // broadcast fetch oracle, and whether sharing is currently sound. Sharing
 // requires the engine's i-cache accesses to be a pure function of the
 // trace: wrong-path pollution forks the cache state per architecture
@@ -550,16 +584,15 @@ func (f *Frontend) stepBreakAt(rec trace.Record, way, set int) PenaltyClass {
 // may want per-engine access behaviour observable in isolation, and a
 // decoupled (prefetching) frontend injects prefetch fills no shared oracle
 // models — all three keep the private-cache path (DESIGN.md §11, §14).
-func (f *Frontend) OracleGroup() (cache.Geometry, bool) {
+func (f *Frontend) oracleGroup() (cache.Geometry, bool) {
 	return f.icache.Geometry(), !f.pollution.enabled && f.probe == nil && !f.decoupled()
 }
 
-// EchoFrontend exposes the Frontend for the broadcast echo dedup; timing
-// or instrumentation wrappers forward it (returning nil when the wrapped
-// engine has no Frontend).
-func (f *Frontend) EchoFrontend() *Frontend { return f }
+// frontend resolves an engine to its Frontend for the broadcast replay;
+// every engine embedding a Frontend promotes it.
+func (f *Frontend) frontend() *Frontend { return f }
 
-// EchoInvariant reports a key identifying everything this engine's break
+// echoInvariant reports a key identifying everything this engine's break
 // accounting depends on besides the trace itself, and whether the engine
 // currently qualifies for break-metric echoing. Echoing is the broadcast's
 // cross-geometry dedup (DESIGN.md §16): when a target predictor's break
@@ -576,12 +609,12 @@ func (f *Frontend) EchoFrontend() *Frontend { return f }
 // including history width), an empty RAS, zero counters, no in-flight
 // deferred update, and oracle eligibility (no pollution, probe, or
 // prefetching — each forks per-engine state the echo would miss).
-func (f *Frontend) EchoInvariant() (string, bool) {
+func (f *Frontend) echoInvariant() (string, bool) {
 	inv, ok := f.bpu.tp.(interface{ invariantKey() (string, bool) })
 	if !ok {
 		return "", false
 	}
-	if _, eligible := f.OracleGroup(); !eligible {
+	if _, eligible := f.oracleGroup(); !eligible {
 		return "", false
 	}
 	if f.m != (metrics.Counters{}) || f.pending.active || f.rstack.Depth() != 0 {
@@ -602,14 +635,14 @@ func (f *Frontend) EchoInvariant() (string, bool) {
 	return fmt.Sprintf("%s|%s|ras%d", tkey, dkey, f.rstack.Cap()), true
 }
 
-// DirShareKey reports the configuration key under which this engine may
+// dirShareKey reports the configuration key under which this engine may
 // share a broadcast direction-bit stream, and whether sharing is currently
 // sound. Sharing requires a decoupled, deterministic direction predictor
 // in its cold state (so identically keyed engines hold identical state
 // throughout the replay), no wrong-path excursions feeding it, no probe
 // observing it, and the ability to adopt the owner's trained state when
 // the broadcast ends (AdoptState) so sharing stays invisible afterwards.
-func (f *Frontend) DirShareKey() (string, bool) {
+func (f *Frontend) dirShareKey() (string, bool) {
 	if f.bpu.traits.CoupledDirection || f.pollution.enabled || f.probe != nil {
 		return "", false
 	}
@@ -662,7 +695,7 @@ func (f *Frontend) echoCredit(n int, ann *cache.AccessAnnotations) {
 // Counters() re-syncs them from this engine's own (bulk-credited) i-cache.
 func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 
-// StepBlockEvents replays one block from a shared fetch oracle's access
+// stepBlockEvents replays one block from a shared fetch oracle's access
 // annotation instead of accessing the private i-cache per record
 // (DESIGN.md §11). ann must come from an Oracle of this engine's geometry
 // fed the identical block sequence. The replay walks the oracle's packed
@@ -682,7 +715,7 @@ func (f *Frontend) adoptBreakMetrics(leader *Frontend) { f.m = leader.m }
 // state the private path would. LRU bookkeeping is skipped — the oracle
 // owns replacement decisions — and the access/miss counters are credited
 // in bulk per block.
-func (f *Frontend) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
+func (f *Frontend) stepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
 	if ds := f.dirShare; ds != nil {
 		// A new chunk begins: the owner starts a fresh bit stream, each
 		// follower rewinds its cursor (the owner always replays first).

@@ -36,26 +36,33 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	prefetched.AttachPrefetcher(NewFDIPPrefetcher(prefetched.ICache()))
 
 	for _, e := range []interface {
-		OracleGroup() (cache.Geometry, bool)
+		oracleGroup() (cache.Geometry, bool)
 	}{eligibleA, eligibleB, lone} {
-		if _, ok := e.OracleGroup(); !ok {
+		if _, ok := e.oracleGroup(); !ok {
 			t.Fatal("clean engine reported ineligible for oracle sharing")
 		}
 	}
-	if _, ok := polluted.OracleGroup(); ok {
+	if _, ok := polluted.oracleGroup(); ok {
 		t.Error("pollution-on engine reported eligible for oracle sharing")
 	}
-	if _, ok := probed.OracleGroup(); ok {
+	if _, ok := probed.oracleGroup(); ok {
 		t.Error("probed engine reported eligible for oracle sharing")
 	}
-	if _, ok := prefetched.OracleGroup(); ok {
+	if _, ok := prefetched.oracleGroup(); ok {
 		t.Error("prefetching engine reported eligible for oracle sharing")
 	}
 
 	engines := []Engine{eligibleA, polluted, eligibleB, probed, lone, prefetched}
-	src := trace.Chunk(workload.Li().MustTrace(1_000), 256)
-	_, groups, units, _ := replayPlan(src.Chunks(), engines, 1)
-	private := units[0].private
+	private := func(p *replay) (n int) {
+		for _, m := range p.units[0] {
+			if m.g == nil {
+				n++
+			}
+		}
+		return n
+	}
+	p := newReplay(engines, 1)
+	groups := p.groups
 
 	if len(groups) != 1 {
 		t.Fatalf("got %d oracle groups, want 1", len(groups))
@@ -69,8 +76,8 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	}
 	// polluted, probed, the prefetching engine, and the demoted singleton
 	// replay privately.
-	if len(private) != 4 {
-		t.Errorf("got %d private engines, want 4 (polluted, probed, singleton, prefetched)", len(private))
+	if n := private(p); n != 4 {
+		t.Errorf("got %d private engines, want 4 (polluted, probed, singleton, prefetched)", n)
 	}
 
 	// Detaching the probe, the prefetcher (with its FTQ), and disabling
@@ -79,19 +86,18 @@ func TestReplayPlanPartitioning(t *testing.T) {
 	probed.AttachProbe(nil)
 	prefetched.AttachPrefetcher(nil)
 	prefetched.SetFTQDepth(0)
-	_, groups, units, _ = replayPlan(src.Chunks(), engines, 1)
-	private = units[0].private
-	if len(groups) != 1 || len(groups[0].members) != 5 || len(private) != 1 {
+	p = newReplay(engines, 1)
+	groups = p.groups
+	if len(groups) != 1 || len(groups[0].members) != 5 || private(p) != 1 {
 		t.Errorf("after detach: %d groups / %d members / %d private, want 1/5/1",
-			len(groups), len(groups[0].members), len(private))
+			len(groups), len(groups[0].members), private(p))
 	}
 }
 
 // TestBroadcastMixedEligibility: a broadcast over engines mixing geometries,
 // wrong-path pollution, and attached probes — so grouped, fallback, and
 // singleton paths all run in one replay — is counter-for-counter identical
-// to the per-engine Run path, at any worker count, with and without shared
-// run annotations.
+// to the per-engine Run path, at any worker count.
 func TestBroadcastMixedEligibility(t *testing.T) {
 	g1 := cache.MustGeometry(8*1024, 32, 1)
 	g2 := cache.MustGeometry(4*1024, 16, 2)
@@ -117,10 +123,6 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 
 	tr := workload.Li().MustTrace(60_000)
 	chunked := trace.Chunk(tr, 1024)
-	sources := map[string]func() trace.ChunkSource{
-		"plain": func() trace.ChunkSource { return chunked.Chunks() },
-		"runs":  func() trace.ChunkSource { return chunked.ChunksRuns(32) },
-	}
 	// The prefetched engine's independent oracle replays the identical
 	// chunking (its FTQ lookahead is bounded by the replay block, so
 	// per-record Step is a different — also correct — configuration).
@@ -130,19 +132,17 @@ func TestBroadcastMixedEligibility(t *testing.T) {
 		}
 		return *Run(e, tr)
 	}
-	for name, mkSrc := range sources {
-		for _, workers := range []int{1, 3} {
-			bcast, oracle := mkSet(), mkSet()
-			n := BroadcastWorkers(mkSrc(), workers, bcast...)
-			if n != int64(tr.Len()) {
-				t.Fatalf("%s workers=%d: replayed %d records, want %d", name, workers, n, tr.Len())
-			}
-			for i, e := range oracle {
-				want := oracleRun(i, e)
-				if got := *bcast[i].Counters(); got != want {
-					t.Errorf("%s workers=%d engine %s: counters diverge\n got %+v\nwant %+v",
-						name, workers, bcast[i].Name(), got, want)
-				}
+	for _, workers := range []int{1, 3} {
+		bcast, oracle := mkSet(), mkSet()
+		n, _ := BroadcastWorkers(chunked.Chunks(), workers, bcast...)
+		if n != int64(tr.Len()) {
+			t.Fatalf("workers=%d: replayed %d records, want %d", workers, n, tr.Len())
+		}
+		for i, e := range oracle {
+			want := oracleRun(i, e)
+			if got := *bcast[i].Counters(); got != want {
+				t.Errorf("workers=%d engine %s: counters diverge\n got %+v\nwant %+v",
+					workers, bcast[i].Name(), got, want)
 			}
 		}
 	}
@@ -169,17 +169,40 @@ func TestGroupedReplayLongRun(t *testing.T) {
 			NewJohnsonEngine(g),
 		}
 	}
-	for name, src := range map[string]trace.ChunkSource{
-		"plain": chunked.Chunks(),
-		"runs":  chunked.ChunksRuns(2048),
-	} {
-		bcast, oracle := mk(), mk()
-		BroadcastWorkers(src, 1, bcast...)
-		for i, e := range oracle {
-			want := *Run(e, tr)
-			if got := *bcast[i].Counters(); got != want {
-				t.Errorf("%s engine %s: counters diverge across 255-run boundary\n got %+v\nwant %+v",
-					name, bcast[i].Name(), got, want)
+	bcast, oracle := mk(), mk()
+	BroadcastWorkers(chunked.Chunks(), 1, bcast...)
+	for i, e := range oracle {
+		want := *Run(e, tr)
+		if got := *bcast[i].Counters(); got != want {
+			t.Errorf("engine %s: counters diverge across 255-run boundary\n got %+v\nwant %+v",
+				bcast[i].Name(), got, want)
+		}
+	}
+}
+
+// TestOracleAnnotateDerivesRuns: Annotate with nil runs derives the run
+// annotation itself and publishes exactly what it publishes from a
+// precomputed one — events, miss counts, and the slots at every event.
+func TestOracleAnnotateDerivesRuns(t *testing.T) {
+	chunked := trace.Chunk(workload.Gcc().MustTrace(40_000), 1024)
+	runs := chunked.RunLens(16)
+	g := cache.MustGeometry(4*1024, 16, 2)
+	derived, given := cache.NewOracle(g), cache.NewOracle(g)
+	var a, b cache.AccessAnnotations
+	defer a.Release()
+	defer b.Release()
+	for bi := 0; bi < chunked.NumChunks(); bi++ {
+		derived.Annotate(chunked.Block(bi), nil, &a)
+		given.Annotate(chunked.Block(bi), runs[bi], &b)
+		if a.Misses != b.Misses || a.ColdMisses != b.ColdMisses || len(a.Events) != len(b.Events) {
+			t.Fatalf("block %d: derived runs give %d/%d misses, %d events; given runs %d/%d, %d",
+				bi, a.Misses, a.ColdMisses, len(a.Events), b.Misses, b.ColdMisses, len(b.Events))
+		}
+		for k, ev := range a.Events {
+			i := ev >> cache.EvtShift & cache.EvtIdxMask
+			if ev != b.Events[k] || a.Slots[i] != b.Slots[i] {
+				t.Fatalf("block %d event %d: derived %#x slot %#x, given %#x slot %#x",
+					bi, k, ev, a.Slots[i], b.Events[k], b.Slots[i])
 			}
 		}
 	}

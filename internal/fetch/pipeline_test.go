@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/btb"
@@ -34,59 +33,64 @@ func pipelineEngines() []Engine {
 	return engines
 }
 
-// LineBytesOf returns the engines' common line size for the shared run
-// annotation (all pipelineEngines geometries use one line size).
-func LineBytesOf(engines []Engine) int {
-	return engines[0].(interface{ ICache() *cache.Cache }).ICache().Geometry().LineBytes()
+// mixedLineEngines extends pipelineEngines with 16-byte-line and
+// 64-byte-line geometries, each holding an oracle group and a private
+// fused-path engine, so one broadcast shares run annotations at three line
+// sizes at once: the oracles and the private engines of each line size
+// read the same per-chunk runs.
+func mixedLineEngines() []Engine {
+	g16 := cache.MustGeometry(8*1024, 16, 2)
+	g64 := cache.MustGeometry(16*1024, 64, 1)
+	polluted := NewBTBEngine(g16, btb.Config{Entries: 128, Assoc: 1}, pht.NewGShare(1024, 6), 32)
+	polluted.SetWrongPathPollution(true)
+	return append(pipelineEngines(),
+		NewNLSTableEngine(g16, 512, pht.NewGShare(1024, 6), 32), // grouped (g16)
+		NewJohnsonEngine(g16), // grouped (g16)
+		polluted,              // private: pollution forks cache state
+		NewNLSCacheEngine(g64, 2, pht.NewGShare(1024, 6), 32), // grouped (g64)
+		NewJohnsonEngine(g64), // grouped (g64)
+		// grouped (g64), echoed from the first BTB engine
+		NewBTBEngine(g64, btb.Config{Entries: 128, Assoc: 1}, pht.NewGShare(1024, 6), 32),
+		NewNLSTableEngine(cache.MustGeometry(4*1024, 64, 2), 512, pht.NewGShare(1024, 6), 32), // private: alone in its geometry
+	)
 }
 
-// shareCounter wraps a grouped engine and counts the blocks it replays as
-// a follower of a shared direction-bit stream, so a test can tell that
-// the dedup engaged rather than pass vacuously.
-type shareCounter struct {
-	Engine
-	fr      *Frontend
-	follows *atomic.Int64
-}
-
-func (s *shareCounter) StepBlockEvents(recs []trace.Record, ann *cache.AccessAnnotations) {
-	if s.fr.dirShare != nil && !s.fr.dirOwner {
-		s.follows.Add(1)
-	}
-	s.fr.StepBlockEvents(recs, ann)
-}
-func (s *shareCounter) OracleGroup() (cache.Geometry, bool) { return s.fr.OracleGroup() }
-func (s *shareCounter) EchoFrontend() *Frontend             { return s.fr }
-
-// countShares wraps every engine in a shareCounter reporting into follows.
-func countShares(engines []Engine, follows *atomic.Int64) []Engine {
-	out := make([]Engine, len(engines))
-	for i, e := range engines {
-		fr := e.(interface{ EchoFrontend() *Frontend }).EchoFrontend()
-		out[i] = &shareCounter{Engine: e, fr: fr, follows: follows}
-	}
-	return out
-}
-
-// TestBroadcastWorkersMatchRun is the replay schedule's differential: a
-// multi-geometry engine set broadcast at several worker counts leaves
-// every engine with counters bit-identical to the per-record Run path,
-// across workloads. Below one engine per unit the units also share
-// direction-bit streams among their own members; the test asserts that
-// this dedup actually engaged, so the parallel dir-share is covered.
+// TestBroadcastWorkersMatchRun is the replay schedule's differential: an
+// engine set spanning several geometries and three line sizes, broadcast
+// at several worker counts, leaves every engine with counters
+// bit-identical to the per-record Run path, across workloads. Below one
+// engine per unit the units also share direction-bit streams among their
+// own members; the test asserts on the replay plan that followers are
+// attached, so the parallel dir-share is covered.
 func TestBroadcastWorkersMatchRun(t *testing.T) {
 	for _, spec := range workload.All() {
 		tr := spec.MustTrace(30_000)
 		chunked := trace.Chunk(tr, 1024)
-		oracle := pipelineEngines()
+		oracle := mixedLineEngines()
 		for _, e := range oracle {
 			Run(e, tr)
 		}
 		for _, workers := range []int{1, 2, 3, 16} {
-			var follows atomic.Int64
-			engines := pipelineEngines()
-			n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), workers, countShares(engines, &follows)...)
-			if n != int64(tr.Len()) {
+			engines := mixedLineEngines()
+			p := newReplay(engines, workers)
+			if len(p.lineBytes) != 3 {
+				t.Fatalf("workers=%d: runs annotated for line sizes %v, want 3 sizes", workers, p.lineBytes)
+			}
+			followers := 0
+			for _, sh := range p.shares {
+				for _, fr := range sh.followers {
+					if fr.dirShare == nil || fr.dirOwner {
+						t.Errorf("%s workers=%d: dir-share follower %s not attached", spec.Name, workers, fr.Name())
+					}
+					followers++
+				}
+			}
+			// 16 workers put every replaying engine in a unit of its own,
+			// where no stream has a follower.
+			if workers <= 3 && followers == 0 {
+				t.Errorf("%s workers=%d: no engine follows a shared direction-bit stream", spec.Name, workers)
+			}
+			if n := p.run(chunked.Chunks()); n != int64(tr.Len()) {
 				t.Fatalf("%s workers=%d: replayed %d records, want %d", spec.Name, workers, n, tr.Len())
 			}
 			for i, e := range engines {
@@ -94,11 +98,6 @@ func TestBroadcastWorkersMatchRun(t *testing.T) {
 					t.Errorf("%s on %s workers=%d: counters diverge from Run\n got %+v\nwant %+v",
 						e.Name(), spec.Name, workers, got, wantC)
 				}
-			}
-			// 16 workers put every replaying engine in a unit of its own,
-			// where no stream has a follower.
-			if workers <= 3 && follows.Load() == 0 {
-				t.Errorf("%s workers=%d: no engine replayed from a shared direction-bit stream", spec.Name, workers)
 			}
 		}
 	}
@@ -114,7 +113,7 @@ func BenchmarkBroadcastOraclePipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				engines := pipelineEngines()
-				n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), workers, engines...)
+				n, _ := BroadcastWorkers(chunked.Chunks(), workers, engines...)
 				if n != int64(tr.Len()) {
 					b.Fatalf("replayed %d records, want %d", n, tr.Len())
 				}
@@ -177,8 +176,8 @@ func TestStressSlotRingAnnBufReuse(t *testing.T) {
 		tr := spec.MustTrace(insns)
 		chunked := trace.Chunk(tr, chunk)
 
-		engines, oracle := pipelineEngines(), pipelineEngines()
-		if n := BroadcastWorkers(chunked.ChunksRuns(LineBytesOf(engines)), workers, engines...); n != int64(tr.Len()) {
+		engines, oracle := mixedLineEngines(), mixedLineEngines()
+		if n, _ := BroadcastWorkers(chunked.Chunks(), workers, engines...); n != int64(tr.Len()) {
 			t.Fatalf("round %d (%s, workers=%d): replayed %d records, want %d",
 				round, spec.Name, workers, n, tr.Len())
 		}

@@ -32,10 +32,10 @@ func TestStressBroadcastRandomWorkers(t *testing.T) {
 		chunked := trace.Chunk(tr, chunk)
 
 		seq, par := broadcastEngines()
-		if n := BroadcastWorkers(chunked.Chunks(), 1, seq...); n != int64(tr.Len()) {
+		if n, _ := BroadcastWorkers(chunked.Chunks(), 1, seq...); n != int64(tr.Len()) {
 			t.Fatalf("round %d (%s): sequential replayed %d, want %d", round, spec.Name, n, tr.Len())
 		}
-		if n := BroadcastWorkers(chunked.Chunks(), workers, par...); n != int64(tr.Len()) {
+		if n, _ := BroadcastWorkers(chunked.Chunks(), workers, par...); n != int64(tr.Len()) {
 			t.Fatalf("round %d (%s, workers=%d): replayed %d, want %d",
 				round, spec.Name, workers, n, tr.Len())
 		}
@@ -50,8 +50,8 @@ func TestStressBroadcastRandomWorkers(t *testing.T) {
 }
 
 // TestStressBroadcastSharedAnnotations repeats the randomized sweep over
-// the precomputed-run-annotation source, the path the grid executor's
-// shared fetch oracle uses.
+// an engine set whose oracle groups and private engines span three line
+// sizes, so every chunk carries shared run annotations at each of them.
 func TestStressBroadcastSharedAnnotations(t *testing.T) {
 	const seed = 0x6e6c7332
 	rng := rand.New(rand.NewSource(seed))
@@ -69,9 +69,9 @@ func TestStressBroadcastSharedAnnotations(t *testing.T) {
 		tr := spec.MustTrace(insns)
 		chunked := trace.Chunk(tr, 1024)
 
-		seq, par := broadcastEngines()
+		seq, par := mixedLineEngines(), mixedLineEngines()
 		BroadcastWorkers(chunked.Chunks(), 1, seq...)
-		if n := BroadcastWorkers(chunked.ChunksRuns(32), workers, par...); n != int64(tr.Len()) {
+		if n, _ := BroadcastWorkers(chunked.Chunks(), workers, par...); n != int64(tr.Len()) {
 			t.Fatalf("round %d (%s): annotated replay %d records, want %d", round, spec.Name, n, tr.Len())
 		}
 		for i := range seq {

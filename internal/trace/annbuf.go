@@ -3,12 +3,13 @@ package trace
 import "sync"
 
 // Chunk-annotation buffer pool. The broadcast replay annotates each chunk
-// with small per-record byte streams — the memoized RunLens runs are one
-// such annotation, owned by the trace; the per-geometry access annotations
-// of the shared fetch oracle (cache.AccessAnnotations) are another, but
-// those are transient: one live buffer per geometry group per in-flight
-// chunk, not one per (trace, geometry). Pooling them here keeps a sweep's
-// steady-state allocation independent of how many chunks it replays.
+// with small per-record byte streams: the run lengths (BlockRuns), one
+// buffer per line size per ring slot, reused chunk after chunk by the
+// broadcast itself; and the per-geometry access annotations of the shared
+// fetch oracle (cache.AccessAnnotations), one live buffer per geometry
+// group per in-flight chunk, which recycle through this pool. Pooling them
+// keeps a sweep's steady-state allocation independent of how many chunks it
+// replays.
 var annBufPool = sync.Pool{
 	New: func() any {
 		b := make([]uint8, 0, DefaultChunkRecords)

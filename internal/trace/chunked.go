@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sync"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // This file adds the chunked trace representation behind the shared-replay
 // sweep scheduler (DESIGN.md §7). A trace is split into fixed-size blocks
@@ -31,23 +27,6 @@ type ChunkSource interface {
 	NextChunk() []Record
 }
 
-// A RunChunkSource additionally annotates each block with its
-// sequential-fetch run lengths, computed once and shared by every consumer
-// of the block (the broadcast replay hands one annotation to all engines of
-// a sweep cell instead of each engine re-deriving it).
-type RunChunkSource interface {
-	ChunkSource
-	// NextChunkRuns is NextChunk plus the block's run annotation: runs,
-	// when non-nil, is parallel to recs and runs[i] counts the records
-	// after i that are non-branches lying in the same RunLineBytes-sized
-	// aligned line as record i (0 whenever record i is a branch). runs
-	// may be nil for a block the source cannot annotate; consumers then
-	// fall back to scanning.
-	NextChunkRuns() (recs []Record, runs []uint8)
-	// RunLineBytes is the aligned line size the annotations assume.
-	RunLineBytes() int
-}
-
 // Chunked is an instruction trace stored as fixed-size blocks of records.
 // All blocks hold exactly chunkSize records except the last, which may be
 // shorter.
@@ -59,10 +38,6 @@ type Chunked struct {
 	chunkSize int
 	blocks    [][]Record
 	n         int
-
-	// Memoized per-block run annotations, keyed by line size (RunLens).
-	runsMu sync.Mutex
-	runsBy map[int][][]uint8
 }
 
 // Chunk splits a flat trace into blocks of chunkSize records without
@@ -116,51 +91,50 @@ func (c *Chunked) Flatten() *Trace {
 	return t
 }
 
-// RunLens returns the per-block run annotations for lineBytes-sized cache
-// lines, computing them once per line size and memoizing the result (safe
-// for concurrent callers). For block b, RunLens()[b][i] counts the records
-// immediately after record i that are non-branches lying in the same
-// lineBytes-aligned line as record i — i.e. the records a replay may batch
-// into one LRU-refreshing cache access after stepping record i — and is 0
-// whenever record i is a break. Runs never cross block boundaries and are
-// capped at 255 (a run longer than a uint8 simply continues under a new
-// leader, which is still a pure sequential fetch).
+// BlockRuns writes the same-line run annotation of one block for
+// lineBytes-sized cache lines into dst, growing it if short, and returns
+// it. runs[i] counts the records immediately after record i that are
+// non-branches lying in the same lineBytes-aligned line as record i — the
+// records a replay may batch into one LRU-refreshing cache access after
+// stepping record i — and is 0 whenever record i is a break. Runs never
+// cross the block's end and are capped at 255 (a longer run simply
+// continues under a new leader, which is still a pure sequential fetch).
 //
-// The annotation depends only on the records and the line size, so one
-// computation is shared by every engine whose i-cache uses lineBytes lines:
-// this is what lets a broadcast sweep scan each chunk's run structure once
-// instead of once per engine. lineBytes must be a power of two.
-func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
-	c.runsMu.Lock()
-	defer c.runsMu.Unlock()
-	if r, ok := c.runsBy[lineBytes]; ok {
-		return r
+// Every byte of the returned slice is written, so dst may be a reused
+// buffer holding a previous block's runs. The annotation depends only on
+// the records and the line size: the broadcast replay derives it once per
+// chunk and line size and shares it with every engine and fetch oracle of
+// that line size. lineBytes must be a power of two.
+func BlockRuns(recs []Record, lineBytes int, dst []uint8) []uint8 {
+	if cap(dst) < len(recs) {
+		dst = make([]uint8, len(recs))
+	}
+	runs := dst[:len(recs)]
+	if len(recs) == 0 {
+		return runs
 	}
 	mask := ^isa.Addr(lineBytes - 1)
+	runs[len(recs)-1] = 0
+	for i := len(recs) - 2; i >= 0; i-- {
+		r, nxt := recs[i], recs[i+1]
+		if r.IsBreak() || nxt.Kind != isa.NonBranch || nxt.PC&mask != r.PC&mask {
+			runs[i] = 0
+		} else if n := runs[i+1]; n < 255 {
+			runs[i] = n + 1
+		} else {
+			runs[i] = 255
+		}
+	}
+	return runs
+}
+
+// RunLens returns BlockRuns of every block for lineBytes-sized lines,
+// freshly computed on each call.
+func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 	all := make([][]uint8, len(c.blocks))
 	for bi, blk := range c.blocks {
-		runs := make([]uint8, len(blk))
-		for i := len(blk) - 2; i >= 0; i-- {
-			r := blk[i]
-			if r.IsBreak() {
-				continue
-			}
-			nxt := blk[i+1]
-			if nxt.Kind != isa.NonBranch || nxt.PC&mask != r.PC&mask {
-				continue
-			}
-			if n := runs[i+1]; n < 255 {
-				runs[i] = n + 1
-			} else {
-				runs[i] = 255
-			}
-		}
-		all[bi] = runs
+		all[bi] = BlockRuns(blk, lineBytes, nil)
 	}
-	if c.runsBy == nil {
-		c.runsBy = make(map[int][][]uint8, 1)
-	}
-	c.runsBy[lineBytes] = all
 	return all
 }
 
@@ -169,23 +143,16 @@ func (c *Chunked) RunLens(lineBytes int) [][]uint8 {
 // trace can.
 func (c *Chunked) Chunks() *ChunkIter { return &ChunkIter{c: c} }
 
-// ChunksRuns returns a fresh iterator whose NextChunkRuns annotates each
-// block with the trace's memoized RunLens for lineBytes-sized cache lines,
-// making the iterator a useful RunChunkSource (a plain Chunks iterator also
-// satisfies the interface but always yields nil runs).
-func (c *Chunked) ChunksRuns(lineBytes int) *ChunkIter {
-	return &ChunkIter{c: c, runs: c.RunLens(lineBytes), lineBytes: lineBytes}
-}
+// ChunksRuns is Chunks. Run annotations are derived per chunk by the
+// broadcast replay, so the line size is ignored.
+func (c *Chunked) ChunksRuns(lineBytes int) *ChunkIter { return c.Chunks() }
 
 // ChunkIter iterates a Chunked trace. It implements ChunkSource (block at a
-// time), RunChunkSource (annotated blocks, when built by ChunksRuns) and
-// Source (record at a time); the views share one cursor.
+// time) and Source (record at a time); the views share one cursor.
 type ChunkIter struct {
-	c         *Chunked
-	runs      [][]uint8 // per-block annotations; nil unless built by ChunksRuns
-	lineBytes int
-	block     int
-	off       int // record offset within the current block (Source view only)
+	c     *Chunked
+	block int
+	off   int // record offset within the current block (Source view only)
 }
 
 // NextChunk implements ChunkSource. A block partially consumed through Run
@@ -218,28 +185,6 @@ func (it *ChunkIter) Run(n int, emit func(Record)) int {
 	}
 	return count
 }
-
-// NextChunkRuns implements RunChunkSource. runs is nil when the iterator
-// was built by Chunks rather than ChunksRuns. A block partially consumed
-// through Run yields its remaining records with the matching annotation
-// suffix (each record's run count is independent of the records before it,
-// so the suffix annotation stays valid).
-func (it *ChunkIter) NextChunkRuns() (recs []Record, runs []uint8) {
-	if it.block >= len(it.c.blocks) {
-		return nil, nil
-	}
-	recs = it.c.blocks[it.block][it.off:]
-	if it.runs != nil {
-		runs = it.runs[it.block][it.off:]
-	}
-	it.block++
-	it.off = 0
-	return recs, runs
-}
-
-// RunLineBytes implements RunChunkSource; it is 0 for an iterator built by
-// Chunks (whose NextChunkRuns never annotates).
-func (it *ChunkIter) RunLineBytes() int { return it.lineBytes }
 
 // Reset rewinds the iterator to the first record.
 func (it *ChunkIter) Reset() { it.block, it.off = 0, 0 }

@@ -157,47 +157,31 @@ func TestRunLens(t *testing.T) {
 		checkRunLens(t, Chunk(tr, 17), lineBytes)
 	}
 
-	// Memoized: same line size returns the identical slice; iterators from
-	// ChunksRuns annotate blocks with it.
+	// BlockRuns into a reused buffer holding another block's runs (and
+	// stale bytes past its end) reproduces the fresh annotation.
 	c := Chunk(tr, 17)
-	r1, r2 := c.RunLens(32), c.RunLens(32)
-	if &r1[0] != &r2[0] {
-		t.Fatal("RunLens recomputed instead of memoizing")
+	fresh := c.RunLens(32)
+	buf := BlockRuns(c.Block(1), 64, nil)
+	for bi := 0; bi < c.NumChunks(); bi++ {
+		buf = BlockRuns(c.Block(bi), 32, buf)
+		if string(buf) != string(fresh[bi]) {
+			t.Fatalf("block %d: reused-buffer runs %v, want %v", bi, buf, fresh[bi])
+		}
 	}
+
+	// ChunksRuns is a plain iterator over the same blocks.
 	it := c.ChunksRuns(32)
-	if it.RunLineBytes() != 32 {
-		t.Fatalf("RunLineBytes = %d, want 32", it.RunLineBytes())
-	}
 	for bi := 0; ; bi++ {
-		recs, runs := it.NextChunkRuns()
+		recs := it.NextChunk()
 		if len(recs) == 0 {
+			if bi != c.NumChunks() {
+				t.Fatalf("ChunksRuns yielded %d blocks, want %d", bi, c.NumChunks())
+			}
 			break
 		}
-		if len(runs) != len(recs) {
-			t.Fatalf("block %d: runs len %d, recs len %d", bi, len(runs), len(recs))
+		if &recs[0] != &c.Block(bi)[0] || len(recs) != len(c.Block(bi)) {
+			t.Fatalf("ChunksRuns block %d differs from Block(%d)", bi, bi)
 		}
-	}
-
-	// A plain Chunks iterator satisfies the same interface but never
-	// annotates (RunLineBytes 0, nil runs).
-	plain := c.Chunks()
-	if plain.RunLineBytes() != 0 {
-		t.Fatal("plain iterator claims an annotation line size")
-	}
-	if recs, runs := plain.NextChunkRuns(); len(recs) == 0 || runs != nil {
-		t.Fatal("plain iterator yielded an annotation")
-	}
-
-	// Mid-block Source consumption: the remainder carries the annotation
-	// suffix, still aligned with its records.
-	it2 := c.ChunksRuns(32)
-	it2.Run(5, func(Record) {})
-	recs, runs := it2.NextChunkRuns()
-	if len(recs) != 12 || len(runs) != 12 {
-		t.Fatalf("partial block: %d recs, %d runs, want 12/12", len(recs), len(runs))
-	}
-	if runs[0] != c.RunLens(32)[0][5] {
-		t.Fatal("annotation suffix misaligned with record suffix")
 	}
 }
 

@@ -118,13 +118,33 @@ func FuzzChunked(f *testing.F) {
 
 		// Run annotations: every entry must satisfy the RunLens contract
 		// (breaks annotate 0; otherwise the count of following same-line
-		// non-branches, capped at 255 and stopping at the block edge).
+		// non-branches, capped at 255 and stopping at the block edge),
+		// both from RunLens and from BlockRuns into a reused buffer full
+		// of stale 0xFF bytes — shorter than the block (in length, and in
+		// capacity) and longer. The broadcast reuses run buffers chunk
+		// after chunk, so a byte BlockRuns failed to write would batch
+		// records across a line boundary.
 		const lineBytes = 32
 		mask := ^isa.Addr(lineBytes - 1)
+		dirty := func(n, c int) []uint8 {
+			b := make([]uint8, c)
+			for i := range b {
+				b[i] = 0xFF
+			}
+			return b[:n]
+		}
 		for bi, rn := range c.RunLens(lineBytes) {
 			blk := c.Block(bi)
-			if len(rn) != len(blk) {
-				t.Fatalf("block %d annotation length %d, want %d", bi, len(rn), len(blk))
+			got := map[string][]uint8{
+				"RunLens":             rn,
+				"BlockRuns short":     BlockRuns(blk, lineBytes, dirty(len(blk)/2, len(blk)+8)),
+				"BlockRuns short cap": BlockRuns(blk, lineBytes, dirty(len(blk)/2, len(blk)/2)),
+				"BlockRuns long":      BlockRuns(blk, lineBytes, dirty(len(blk)+8, len(blk)+8)),
+			}
+			for name, runs := range got {
+				if len(runs) != len(blk) {
+					t.Fatalf("%s: block %d annotation length %d, want %d", name, bi, len(runs), len(blk))
+				}
 			}
 			for i, r := range blk {
 				want := 0
@@ -136,8 +156,10 @@ func FuzzChunked(f *testing.F) {
 						want++
 					}
 				}
-				if int(rn[i]) != want {
-					t.Fatalf("block %d record %d: run %d, want %d", bi, i, rn[i], want)
+				for name, runs := range got {
+					if int(runs[i]) != want {
+						t.Fatalf("%s: block %d record %d: run %d, want %d", name, bi, i, runs[i], want)
+					}
 				}
 			}
 		}

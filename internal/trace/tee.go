@@ -5,17 +5,11 @@ package trace
 // executor derives per-program statistics (StatsCollector, fetch-block
 // counts) from the same single trace read that drives the broadcast replay:
 // the broadcaster draws blocks through the tee, and the observer runs on
-// the drawing goroutine, serialized with the draws.
-//
-// When src also implements RunChunkSource, the returned source does too,
-// forwarding the run annotations untouched — wrapping never downgrades the
-// broadcaster's shared-annotation fast path.
+// the drawing goroutine, serialized with the draws. The broadcast derives
+// its run annotations from the drawn blocks themselves, so a tee costs the
+// replay no fast path.
 func TeeChunks(src ChunkSource, observe func([]Record)) ChunkSource {
-	t := teeChunks{src: src, observe: observe}
-	if rs, ok := src.(RunChunkSource); ok {
-		return &teeRunChunks{teeChunks: t, rs: rs}
-	}
-	return &t
+	return &teeChunks{src: src, observe: observe}
 }
 
 type teeChunks struct {
@@ -31,20 +25,3 @@ func (t *teeChunks) NextChunk() []Record {
 	}
 	return blk
 }
-
-type teeRunChunks struct {
-	teeChunks
-	rs RunChunkSource
-}
-
-// NextChunkRuns implements RunChunkSource.
-func (t *teeRunChunks) NextChunkRuns() (recs []Record, runs []uint8) {
-	recs, runs = t.rs.NextChunkRuns()
-	if len(recs) > 0 {
-		t.observe(recs)
-	}
-	return recs, runs
-}
-
-// RunLineBytes implements RunChunkSource.
-func (t *teeRunChunks) RunLineBytes() int { return t.rs.RunLineBytes() }
