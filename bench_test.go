@@ -307,10 +307,12 @@ func BenchmarkSweepCorpusReplay(b *testing.B) {
 	reportSweepRate(b, cells)
 }
 
-// BenchmarkCorpusDecode measures the streaming corpus decoder against
-// BenchmarkTraceGeneration: the replay-many side of generate-once.
+// BenchmarkCorpusDecode measures corpus decode against
+// BenchmarkTraceGeneration, the replay-many side of generate-once, at the
+// sweep benchmarks' trace length: materialize is Corpus.Trace, the path the
+// executor takes on a corpus hit; stream drains Corpus.ChunkSource.
 func BenchmarkCorpusDecode(b *testing.B) {
-	cfg := experiments.DefaultConfig(benchInsns)
+	cfg := experiments.DefaultConfig(sweepBenchInsns)
 	cfg.Programs = []workload.Spec{workload.Gcc()}
 	path := experiments.CorpusPath(b.TempDir(), cfg)
 	r := experiments.NewRunner(cfg)
@@ -323,20 +325,35 @@ func BenchmarkCorpusDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, err := c.ChunkSource(workload.Gcc().Name, trace.DefaultChunkRecords)
-		if err != nil {
-			b.Fatal(err)
+	name := workload.Gcc().Name
+	b.Run("materialize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t, err := c.Trace(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if t.Len() != sweepBenchInsns {
+				b.Fatalf("decoded %d records, want %d", t.Len(), sweepBenchInsns)
+			}
 		}
-		n := 0
-		for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
-			n += len(blk)
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src, err := c.ChunkSource(name, trace.DefaultChunkRecords)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
+				n += len(blk)
+			}
+			if n != sweepBenchInsns {
+				b.Fatalf("decoded %d records, want %d", n, sweepBenchInsns)
+			}
 		}
-		if n != benchInsns {
-			b.Fatalf("decoded %d records, want %d", n, benchInsns)
-		}
-	}
+	})
 }
 
 // BenchmarkTraceGeneration measures workload synthesis throughput.

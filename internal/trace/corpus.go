@@ -101,14 +101,18 @@ func (w *CorpusWriter) Add(t *Trace) error {
 		w.err = err
 		return err
 	}
-	payload := buf.Bytes()
+	return w.addPayload(t.Name, len(t.Records), buf.Bytes())
+}
+
+// addPayload appends one encoded NLST payload and its index entry.
+func (w *CorpusWriter) addPayload(name string, records int, payload []byte) error {
 	if _, err := w.f.Write(payload); err != nil {
 		w.err = err
 		return err
 	}
 	w.entries = append(w.entries, CorpusProgram{
-		Name:    t.Name,
-		Records: len(t.Records),
+		Name:    name,
+		Records: records,
 		off:     w.off,
 		length:  int64(len(payload)),
 		crc:     crc32.ChecksumIEEE(payload),
@@ -275,9 +279,8 @@ func (c *Corpus) parseIndex() error {
 		if off < uint64(len(corpusMagic)) || length > idxOff || off > idxOff-length {
 			return fmt.Errorf("%w: entry %d payload [%d,+%d) out of range", errBadCorpus, i, off, length)
 		}
-		// records is untrusted but only ever used as a size hint capped
-		// by the payload length (a record takes at least one payload
-		// byte, see Read).
+		// records is untrusted; a record takes at least one payload
+		// byte (see newPayloadDecoder), so it cannot exceed the length.
 		if records > length {
 			return fmt.Errorf("%w: entry %d record count %d exceeds payload", errBadCorpus, i, records)
 		}
@@ -308,7 +311,7 @@ func (c *Corpus) Trace(name string) (*Trace, error) {
 	if crc32.ChecksumIEEE(payload) != e.crc {
 		return nil, fmt.Errorf("%w: program %q payload checksum mismatch", errBadCorpus, name)
 	}
-	t, err := Read(bytes.NewReader(payload))
+	t, err := decodeTrace(payload)
 	if err != nil {
 		return nil, fmt.Errorf("trace: corpus program %q: %w", name, err)
 	}

@@ -1,26 +1,26 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/isa"
 )
 
-// PayloadChunks is a streaming decoder over one corpus program's payload
-// bytes: it decodes the NLST varint stream chunk by chunk instead of
-// materializing the whole record slice, so a corpus-driven sweep touches
-// the mapped file sequentially and keeps O(chunk) decoded state live.
-// It implements ChunkSource.
+// PayloadChunks is the one decoder of the NLST record stream (format.go):
+// it works straight off the encoded bytes, carrying the delta-decoder state
+// from call to call. Read and Corpus.Trace materialize a whole stream
+// through it (decodeTrace); Corpus.ChunkSource hands it out to stream a
+// corpus program chunk by chunk, touching the mapped file sequentially and
+// keeping O(chunk) decoded state live. It implements ChunkSource.
 type PayloadChunks struct {
 	// Name and StaticCondSites mirror the payload's trace header.
 	Name            string
 	StaticCondSites int
 
-	r         *bytes.Reader
-	remaining uint64
+	buf       []byte
+	pos       int
+	remaining uint64 // records the header declares that are still undecoded
 	chunkSize int
 	// Delta-decoder state carried across chunks.
 	prevPCWord, prevNextWord uint32
@@ -29,55 +29,62 @@ type PayloadChunks struct {
 }
 
 // newPayloadDecoder validates the payload's NLST header and returns a
-// decoder positioned at the first record.
+// decoder positioned at the first record. The header's count is untrusted:
+// a record takes at least one byte, so a count beyond the bytes left after
+// the header is rejected here, and anything sized by the count is bounded
+// by the input's length.
 func newPayloadDecoder(payload []byte, chunkSize int) (*PayloadChunks, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkRecords
 	}
-	r := bytes.NewReader(payload)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("reading magic: %w", err)
+	if len(payload) < len(formatMagic)+1 {
+		return nil, fmt.Errorf("%w: truncated header (%d bytes)", errBadFormat, len(payload))
 	}
-	if string(magic[:]) != formatMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", errBadFormat, magic)
+	if string(payload[:len(formatMagic)]) != formatMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", errBadFormat, payload[:len(formatMagic)])
 	}
-	ver, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != formatVersion {
+	if ver := payload[len(formatMagic)]; ver != formatVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", errBadFormat, ver)
 	}
-	nameLen, err := binary.ReadUvarint(r)
+	p := &PayloadChunks{buf: payload, pos: len(formatMagic) + 1, chunkSize: chunkSize}
+	nameLen, err := p.uvarint("name length")
 	if err != nil {
 		return nil, err
 	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("%w: name too long", errBadFormat)
+	if nameLen > 1<<16 || nameLen > uint64(len(payload)-p.pos) {
+		return nil, fmt.Errorf("%w: name length %d", errBadFormat, nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, err
-	}
-	static, err := binary.ReadUvarint(r)
+	p.Name = string(payload[p.pos : p.pos+int(nameLen)])
+	p.pos += int(nameLen)
+	static, err := p.uvarint("static sites")
 	if err != nil {
 		return nil, err
 	}
-	count, err := binary.ReadUvarint(r)
+	count, err := p.uvarint("record count")
 	if err != nil {
 		return nil, err
 	}
-	// count is untrusted, but it is never pre-allocated here: each chunk
-	// allocates at most chunkSize records and a lying count fails with
-	// EOF mid-decode.
-	return &PayloadChunks{
-		Name:            string(name),
-		StaticCondSites: int(static),
-		r:               r,
-		remaining:       count,
-		chunkSize:       chunkSize,
-	}, nil
+	if count > uint64(len(payload)-p.pos) {
+		return nil, fmt.Errorf("%w: record count %d exceeds %d payload bytes", errBadFormat, count, len(payload)-p.pos)
+	}
+	p.StaticCondSites = int(static)
+	p.remaining = count
+	return p, nil
+}
+
+// decodeTrace decodes a whole NLST stream into a trace whose record slice
+// is sized once, from the header's (length-bounded) count; a count the
+// records do not bear out is an error, never a short trace.
+func decodeTrace(data []byte) (*Trace, error) {
+	p, err := newPayloadDecoder(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{Name: p.Name, StaticCondSites: p.StaticCondSites, Records: make([]Record, p.remaining)}
+	if err := p.decode(t.Records); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // Len returns the number of records the payload header declares.
@@ -97,49 +104,66 @@ func (p *PayloadChunks) NextChunk() []Record {
 	if k > p.remaining {
 		k = p.remaining
 	}
-	recs := make([]Record, 0, k)
-	for i := uint64(0); i < k; i++ {
-		head, err := p.r.ReadByte()
-		if err != nil {
-			p.fail(fmt.Errorf("trace: record %d: %w", p.rec, err))
-			return nil
-		}
-		kind := isa.Kind(head & 0x7)
-		if !kind.Valid() {
-			p.fail(fmt.Errorf("%w: record %d kind %d", errBadFormat, p.rec, kind))
-			return nil
-		}
-		taken := head&(1<<3) != 0
-		var pcWord uint32
-		if head&(1<<4) != 0 {
-			pcWord = p.prevNextWord
-		} else {
-			d, err := binary.ReadVarint(p.r)
-			if err != nil {
-				p.fail(fmt.Errorf("trace: record %d pc delta: %w", p.rec, err))
-				return nil
-			}
-			pcWord = uint32(int64(p.prevPCWord) + d)
-		}
-		rec := Record{PC: isa.Addr(pcWord * isa.InstrBytes), Kind: kind, Taken: taken}
-		if taken {
-			d, err := binary.ReadVarint(p.r)
-			if err != nil {
-				p.fail(fmt.Errorf("trace: record %d target delta: %w", p.rec, err))
-				return nil
-			}
-			rec.Target = isa.Addr(uint32(int64(pcWord)+d) * isa.InstrBytes)
-		}
-		recs = append(recs, rec)
-		p.prevPCWord = pcWord
-		p.prevNextWord = rec.Next().Word()
-		p.rec++
+	recs := make([]Record, k)
+	if err := p.decode(recs); err != nil {
+		p.err = err
+		p.remaining = 0
+		return nil
 	}
-	p.remaining -= k
 	return recs
 }
 
-func (p *PayloadChunks) fail(err error) {
-	p.err = err
-	p.remaining = 0
+// decode fills dst with the next len(dst) records, which must not exceed
+// the records remaining. The loop works on local copies of the decoder
+// state and stores them back once.
+func (p *PayloadChunks) decode(dst []Record) error {
+	buf, pos := p.buf, p.pos
+	prevPC, prevNext := p.prevPCWord, p.prevNextWord
+	for i := range dst {
+		if pos >= len(buf) {
+			return fmt.Errorf("%w: record %d: unexpected end of payload", errBadFormat, p.rec+uint64(i))
+		}
+		head := buf[pos]
+		pos++
+		kind := isa.Kind(head & 0x7)
+		if !kind.Valid() {
+			return fmt.Errorf("%w: record %d kind %d", errBadFormat, p.rec+uint64(i), kind)
+		}
+		taken := head&(1<<3) != 0
+		pcWord := prevNext
+		if head&(1<<4) == 0 {
+			d, n := binary.Varint(buf[pos:])
+			if n <= 0 {
+				return fmt.Errorf("%w: record %d pc delta", errBadFormat, p.rec+uint64(i))
+			}
+			pos += n
+			pcWord = uint32(int64(prevPC) + d)
+		}
+		rec := Record{PC: isa.Addr(pcWord * isa.InstrBytes), Kind: kind, Taken: taken}
+		if taken {
+			d, n := binary.Varint(buf[pos:])
+			if n <= 0 {
+				return fmt.Errorf("%w: record %d target delta", errBadFormat, p.rec+uint64(i))
+			}
+			pos += n
+			rec.Target = isa.Addr(uint32(int64(pcWord)+d) * isa.InstrBytes)
+		}
+		dst[i] = rec
+		prevPC = pcWord
+		prevNext = rec.Next().Word()
+	}
+	p.pos, p.prevPCWord, p.prevNextWord = pos, prevPC, prevNext
+	p.rec += uint64(len(dst))
+	p.remaining -= uint64(len(dst))
+	return nil
+}
+
+// uvarint reads one header varint.
+func (p *PayloadChunks) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(p.buf[p.pos:])
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: %s", errBadFormat, what)
+	}
+	p.pos += n
+	return v, nil
 }

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -190,6 +193,103 @@ func TestCorpusTruncationRejected(t *testing.T) {
 		if _, err := OpenCorpusBytes(orig[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestCorpusTraceAllocatesOnce: materializing a corpus program sizes its
+// record slice once, from the header's count, so a long trace allocates
+// little beyond its decoded records; growing the slice by append would
+// allocate about three times as much.
+func TestCorpusTraceAllocatesOnce(t *testing.T) {
+	const n = 2_000_000
+	tr := corpusTrace("long", n, 9)
+	path := filepath.Join(t.TempDir(), "long.nlsc")
+	writeTestCorpus(t, path, []*Trace{tr})
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := c.Trace("long")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != n {
+		t.Fatalf("decoded %d records, want %d", got.Len(), n)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(105*unsafe.Sizeof(Record{})*n/100 + 1<<20)
+	if alloc > limit {
+		t.Errorf("Corpus.Trace allocated %d bytes for %d records, want at most %d", alloc, n, limit)
+	}
+}
+
+// nlstHeader encodes an NLST trace header claiming count records.
+func nlstHeader(name string, static, count int) []byte {
+	b := []byte(formatMagic)
+	b = append(b, formatVersion)
+	b = binary.AppendUvarint(b, uint64(len(name)))
+	b = append(b, name...)
+	b = binary.AppendUvarint(b, uint64(static))
+	return binary.AppendUvarint(b, uint64(count))
+}
+
+// TestLyingRecordCountRejected: a header claiming more records than its
+// payload encodes is an error from every decode path, never a short trace.
+// The corpus around the payload is well formed (payload CRC and index
+// recomputed, the index agreeing with the lying header), so only the
+// decoder can catch it.
+func TestLyingRecordCountRejected(t *testing.T) {
+	tr := corpusTrace("liar", 200, 10)
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[len(nlstHeader(tr.Name, tr.StaticCondSites, len(tr.Records))):]
+	if len(body) <= len(tr.Records) {
+		t.Fatalf("test trace encodes %d records in %d bytes; want some multi-byte records", len(tr.Records), len(body))
+	}
+	// The first two claims fit in the payload's byte length, so they
+	// fail only when the decoder runs out of bytes; the last exceeds it
+	// and is rejected from the header alone.
+	for _, claim := range []int{len(tr.Records) + 1, len(body), len(body) + 1} {
+		payload := append(nlstHeader(tr.Name, tr.StaticCondSites, claim), body...)
+		if got, err := Read(bytes.NewReader(payload)); err == nil {
+			t.Errorf("claim %d: Read returned %d records and no error", claim, got.Len())
+		}
+
+		path := filepath.Join(t.TempDir(), "liar.nlsc")
+		w, err := CreateCorpus(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.addPayload(tr.Name, claim, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCorpus(path)
+		if err != nil {
+			t.Fatalf("claim %d: OpenCorpus: %v", claim, err)
+		}
+		if got, err := c.Trace(tr.Name); err == nil {
+			t.Errorf("claim %d: Corpus.Trace returned %d records and no error", claim, got.Len())
+		}
+		if src, err := c.ChunkSource(tr.Name, 64); err == nil {
+			n := 0
+			for blk := src.NextChunk(); len(blk) > 0; blk = src.NextChunk() {
+				n += len(blk)
+			}
+			if src.(*PayloadChunks).Err() == nil {
+				t.Errorf("claim %d: ChunkSource drained %d records and no error", claim, n)
+			}
+		}
+		c.Close()
 	}
 }
 
